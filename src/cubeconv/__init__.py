@@ -16,7 +16,7 @@ from .core import (
     union,
 )
 from .counting import CountReport, bound_report, count_disjoint_tuples, extremal_family
-from .transform import RankedTable, corner_convolution, moebius, ranked_zeta, subset_convolve, zeta
+from .transform import corner_convolution, moebius, subset_convolve, zeta
 from .verifier import (
     TrialConfig,
     check_lemma_mine,
@@ -35,7 +35,6 @@ __all__ = [
     "SetFamily",
     "SubsetMask",
     "CountReport",
-    "RankedTable",
     "TrialConfig",
     "bound_report",
     "check_lemma_mine",
@@ -52,7 +51,6 @@ __all__ = [
     "lp_norm",
     "moebius",
     "popcount",
-    "ranked_zeta",
     "run_trials",
     "subset_convolve",
     "union",

@@ -9,6 +9,7 @@ integers ("int" flavor).
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -127,7 +128,8 @@ class SetFamily:
         return len(self.members)
 
     def __contains__(self, mask: int) -> bool:
-        return mask in set(self.members)
+        i = bisect.bisect_left(self.members, mask)
+        return i < len(self.members) and self.members[i] == mask
 
     def indicator(self) -> CubeFunction:
         return CubeFunction.indicator(self.m, self.members, INT)

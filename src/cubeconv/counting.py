@@ -7,12 +7,13 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .core import SetFamily, exponent, family_to_functions
+from .core import MAX_M_INT, SetFamily, exponent, family_to_functions
 from .transform import corner_convolution
 
 BRUTE_TUPLE_CAP = 10**8
 BOUND_SLACK = 1e-9
-EXTREMAL_M_CAP = 24
+# Extremal families are counted on integer cube functions.
+EXTREMAL_M_CAP = MAX_M_INT
 
 
 @dataclass(frozen=True)
@@ -20,6 +21,7 @@ class CountReport:
     """Exact tuple count for (X, n) against the ln|X|-scaled bound.
 
     ratio = ln(count)/ln|X| is None when undefined (|X| <= 1 or count 0).
+    kernel names the path that counted: "int64", "int64-crt<k>" or "brute".
     """
 
     n: int
@@ -29,6 +31,7 @@ class CountReport:
     bound_log: float
     ratio: float | None
     holds: bool
+    kernel: str
 
 
 def count_disjoint_tuples(family: SetFamily, n: int, method: str = "fast") -> int:
@@ -38,10 +41,15 @@ def count_disjoint_tuples(family: SetFamily, n: int, method: str = "fast") -> in
     The fast path encodes the family as indicator functions and takes
     their exact integer corner convolution; brute enumerates (n-1)-tuples.
     """
+    return _count(family, n, method)[0]
+
+
+def _count(family: SetFamily, n: int, method: str) -> tuple[int, str]:
+    """(count, kernel) for count_disjoint_tuples."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if method == "fast":
-        return corner_convolution(family_to_functions(family, n), method="fast")
+        return corner_convolution(family_to_functions(family, n), method="fast", with_kernel=True)
     if method != "brute":
         raise ValueError(f"unknown method {method!r}")
     size = len(family)
@@ -59,12 +67,12 @@ def count_disjoint_tuples(family: SetFamily, n: int, method: str = "fast") -> in
         else:
             if acc in member_set:
                 count += 1
-    return count
+    return count, "brute"
 
 
 def bound_report(family: SetFamily, n: int, method: str = "fast") -> CountReport:
     """Count tuples and compare ln(count) against (n/p_n) ln|X|."""
-    count = count_disjoint_tuples(family, n, method)
+    count, kernel = _count(family, n, method)
     size = len(family)
     bound_log = exponent(n).c * math.log(size) if size >= 1 else 0.0
     log_count = math.log(count) if count >= 1 else float("-inf")
@@ -77,6 +85,7 @@ def bound_report(family: SetFamily, n: int, method: str = "fast") -> CountReport
         bound_log=bound_log,
         ratio=ratio,
         holds=log_count <= bound_log + BOUND_SLACK,
+        kernel=kernel,
     )
 
 

@@ -3,106 +3,171 @@
 
 The fast route is the classic ranked transform: tabulate the zeta
 transform separately per subset cardinality, multiply rank polynomials
-pointwise, invert.  Integer flavor runs on Python ints and is exact at
-any rank coefficient size; real flavor runs on float64 numpy arrays.
+pointwise, invert.  Every flavor runs on one numpy reshape kernel.  Real
+flavor runs on float64.  Integer flavor is exact: the kernel only adds,
+subtracts and multiplies, so it runs on int64 residues.  The first pass
+wraps around, which is arithmetic mod 2^64; when a bound on |result|
+needs more, further passes run mod primes below 2^31, and the residues
+are combined by the Chinese remainder theorem once, at the end.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import INT, REAL, CubeFunction
+from .core import REAL, CubeFunction
 
 # Brute-force corner enumeration walks n^m labeled coordinate assignments.
 BRUTE_TERM_CAP = 10**8
 
+# Modulus of the first residue pass: int64 arithmetic wraps around mod 2^64.
+WORD = 2**64
 
-def _popcounts(m: int) -> list[int]:
-    return [s.bit_count() for s in range(1 << m)]
 
-
-def _zeta_inplace(vals: list, m: int):
-    """Sum-over-subsets DP: vals[S] <- sum_{T subset of S} vals[T]."""
+def _popcounts(m: int) -> np.ndarray:
+    pc = np.zeros(1 << m, dtype=np.intp)
     for b in range(m):
-        bit = 1 << b
-        for s in range(1 << m):
-            if s & bit:
-                vals[s] += vals[s ^ bit]
+        pc[1 << b : 2 << b] = pc[: 1 << b] + 1
+    return pc
 
 
-def _moebius_inplace(vals: list, m: int):
-    """Exact inverse of the zeta DP (same loop, subtraction)."""
+@functools.cache
+def _prime(i: int) -> int:
+    """The i-th prime below 2^31, counting down from 2^31 - 1.  Residues
+    stay below 2^31, so every product of two fits in int64."""
+    p = _prime(i - 1) - 2 if i else 2**31 - 1
+    while any(p % d == 0 for d in range(3, math.isqrt(p) + 1, 2)):
+        p -= 2
+    return p
+
+
+def _residues(a: np.ndarray, mod: int | None) -> np.ndarray:
+    """`a` reduced mod `mod` as int64; mod None keeps the int64 bits, which
+    are `a` mod 2^64, and returns an int64 `a` itself."""
+    if a.dtype == object:
+        return (a % (mod or WORD)).astype(np.uint64).view(np.int64)
+    return a if mod is None else a % mod
+
+
+def _mass(a: np.ndarray) -> tuple[int, int]:
+    """(sum |a|, max |a|) as exact Python ints."""
+    if a.dtype == object:
+        mag = np.abs(a)
+        return int(mag.sum()), int(mag.max())
+    mag = np.abs(a).view(np.uint64)  # the view reads |-2^63| as 2^63
+    # Sum the high and low 32-bit halves apart so neither sum overflows.
+    total = (int((mag >> 32).sum()) << 32) + int((mag & 0xFFFFFFFF).sum())
+    return total, int(mag.max())
+
+
+def _evaluate(fs: list[CubeFunction], kernel, bound) -> tuple[np.ndarray, str]:
+    """Run kernel(arrays, dtype=..., mod=...) on the value tables of fs;
+    return the result array and the name of the path taken.
+
+    Real flavor runs once on float64.  Integer flavor is exact: bound()
+    maps each function's (sum |f|, max |f|) to B >= |result|.  The wrapped
+    int64 pass (mod 2^64) is exact when 2B < 2^64; otherwise prime passes
+    join until the moduli multiply past 2B, and the CRT rebuilds each
+    value.  A function repeated in fs reaches the kernel as one array."""
+    if fs[0].flavor == REAL:
+        arrays = [np.asarray(f.values, dtype=np.float64) for f in fs]
+        return kernel(arrays, dtype=np.float64, mod=None), "float64"
+    try:
+        arrays = {id(f): np.asarray(f.values, dtype=np.int64) for f in fs}
+    except OverflowError:  # some value needs more than 64 bits
+        arrays = {id(f): np.array(f.values, dtype=object) for f in fs}
+    masses = {key: _mass(a) for key, a in arrays.items()}
+    limit = 2 * bound([masses[id(f)] for f in fs])
+
+    def residue(mod):
+        reduced = {key: _residues(a, mod) for key, a in arrays.items()}
+        return np.atleast_1d(kernel([reduced[id(f)] for f in fs], dtype=np.int64, mod=mod))
+
+    value = residue(None)
+    if limit < WORD:
+        return value, "int64"
+    value, modulus, count = value.view(np.uint64).astype(object), WORD, 1
+    while modulus <= limit:
+        p = _prime(count - 1)
+        # Garner step: value + modulus * t also matches this pass mod p.
+        step = (residue(p) - (value % p).astype(np.int64)) % p
+        t = step * pow(modulus % p, -1, p) % p
+        value = value + modulus * t.astype(object)
+        modulus, count = modulus * p, count + 1
+    return np.where(value > modulus // 2, value - modulus, value), f"int64-crt{count}"
+
+
+# ---------------------------------------------------------------------------
+# The reshape kernel (trial axes lead, mask axis last).  With `mod` set,
+# int64 inputs in [0, mod) give outputs in [0, mod).
+
+
+def _batch_zeta_inplace(a: np.ndarray, m: int, inverse: bool = False):
+    """Sum over subsets along the last axis; inverse=True is Moebius."""
+    op = np.subtract if inverse else np.add
     for b in range(m):
-        bit = 1 << b
-        for s in range(1 << m):
-            if s & bit:
-                vals[s] -= vals[s ^ bit]
+        v = a.reshape(a.shape[:-1] + (1 << (m - 1 - b), 2, 1 << b))
+        op(v[..., 1, :], v[..., 0, :], out=v[..., 1, :])
 
 
-def zeta(f: CubeFunction) -> CubeFunction:
-    """g(S) = sum_{T subset of S} f(T)."""
-    vals = list(f.values)
-    _zeta_inplace(vals, f.m)
-    return CubeFunction(f.m, vals, f.flavor)
-
-
-def moebius(g: CubeFunction) -> CubeFunction:
-    """Inverse of zeta; moebius(zeta(f)) == f identically."""
-    vals = list(g.values)
-    _moebius_inplace(vals, g.m)
-    return CubeFunction(g.m, vals, g.flavor)
-
-
-@dataclass(frozen=True)
-class RankedTable:
-    """Per-cardinality zeta tables: coeffs[k][S] = sum of f over subsets
-    of S with exactly k elements."""
-
-    m: int
-    coeffs: tuple  # (m+1) rows, each a tuple of 2^m scalars
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.m + 1:
-            raise ValueError("need exactly m+1 rank rows")
-        object.__setattr__(self, "coeffs", tuple(tuple(row) for row in self.coeffs))
-
-
-def _rank_rows(values, m: int) -> list[list]:
-    """Split by cardinality and zeta-transform each rank row."""
-    pc = _popcounts(m)
-    zero = values[0] * 0  # preserves int/float flavor
-    rows = [[zero] * (1 << m) for _ in range(m + 1)]
-    for s, v in enumerate(values):
-        rows[pc[s]][s] = v
-    for row in rows:
-        _zeta_inplace(row, m)
-    return rows
-
-
-def ranked_zeta(f: CubeFunction) -> RankedTable:
-    return RankedTable(f.m, _rank_rows(f.values, f.m))
-
-
-def _rank_mult(a: list[list], b: list[list], m: int) -> list[list]:
-    """Pointwise product of rank polynomials, truncated at degree m.
-
-    Summation order over i is fixed (ascending), so integer results are
-    reproducible bitwise under any outer parallel schedule.
-    """
+def _batch_ranked_zeta(a: np.ndarray, m: int, dtype=np.float64, mod=None) -> np.ndarray:
+    """(..., 2^m) -> (..., m+1, 2^m) per-rank zeta tables."""
     size = 1 << m
-    zero = a[0][0] * 0
-    out = [[zero] * size for _ in range(m + 1)]
-    for k in range(m + 1):
-        row = out[k]
-        for i in range(k + 1):
-            ai, bj = a[i], b[k - i]
-            for s in range(size):
-                row[s] += ai[s] * bj[s]
+    out = np.zeros(a.shape[:-1] + (m + 1, size), dtype=dtype)
+    out[..., _popcounts(m), np.arange(size)] = a
+    _batch_zeta_inplace(out, m)  # at most 2^m * mod < 2^53 before reducing
+    if mod:
+        out %= mod
     return out
+
+
+def _batch_rank_mult(a: np.ndarray, b: np.ndarray, m: int, dtype=np.float64, mod=None):
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=dtype)
+    term = np.empty_like(out[..., 0, :])  # reused, so no row-sized allocation per product
+    for k in range(m + 1):
+        row = out[..., k, :]
+        for i in range(k + 1):
+            np.multiply(a[..., i, :], b[..., k - i, :], out=term)
+            if mod:
+                term %= mod
+            row += term
+        if mod:
+            row %= mod
+    return out
+
+
+def _batch_subset_convolve(pair, m: int, dtype=np.float64, mod=None) -> np.ndarray:
+    tables = (_batch_ranked_zeta(h, m, dtype, mod) for h in pair)
+    prod = _batch_rank_mult(*tables, m, dtype, mod)
+    _batch_zeta_inplace(prod, m, inverse=True)
+    if mod:
+        prod %= mod
+    return prod[..., _popcounts(m), np.arange(1 << m)]
+
+
+def batch_corner_value(fs, m: int, dtype=np.float64, mod=None) -> np.ndarray:
+    """Corner convolution of a batch of function tuples.
+
+    fs has shape (n, ..., 2^m), or is a list of n such arrays; returns
+    shape (...).  Folds rank polynomials in the zeta domain and inverts
+    only the top rank at the full mask, so no intermediate Moebius
+    transforms are needed.  A run of one repeated array object
+    (f_1 = ... = f_{n-1} in counting) is rank-tabulated once.
+    """
+    prod = prev = table = None
+    for a in fs:
+        if a is not prev:
+            table, prev = _batch_ranked_zeta(a, m, dtype, mod), a
+        prod = table if prod is None else _batch_rank_mult(prod, table, m, dtype, mod)
+    # corner value = top-rank Moebius coefficient read at the full mask;
+    # reduced rows keep |top| < 2^m * mod < 2^53
+    signs = np.where((m - _popcounts(m)) % 2 == 0, 1.0, -1.0).astype(dtype)
+    top = prod[..., m, :] @ signs
+    return top % mod if mod else top
 
 
 def _check_compatible(f: CubeFunction, g: CubeFunction):
@@ -112,6 +177,27 @@ def _check_compatible(f: CubeFunction, g: CubeFunction):
         raise ValueError(f"flavor mismatch: {f.flavor!r} vs {g.flavor!r}")
 
 
+def _lattice_transform(f: CubeFunction, inverse: bool) -> CubeFunction:
+    def kernel(arrays, dtype, mod):
+        out = arrays[0].copy()
+        _batch_zeta_inplace(out, f.m, inverse)
+        return out % mod if mod else out
+
+    # Every output is a signed sum of distinct inputs: |out| <= sum |f|.
+    out, _ = _evaluate([f], kernel, lambda masses: masses[0][0])
+    return CubeFunction(f.m, out.tolist(), f.flavor)
+
+
+def zeta(f: CubeFunction) -> CubeFunction:
+    """g(S) = sum_{T subset of S} f(T)."""
+    return _lattice_transform(f, inverse=False)
+
+
+def moebius(g: CubeFunction) -> CubeFunction:
+    """Inverse of zeta; moebius(zeta(f)) == f identically."""
+    return _lattice_transform(g, inverse=True)
+
+
 def subset_convolve(f: CubeFunction, g: CubeFunction) -> CubeFunction:
     """h(S) = sum over disjoint A, B with A | B = S of f(A) g(B).
 
@@ -119,24 +205,21 @@ def subset_convolve(f: CubeFunction, g: CubeFunction) -> CubeFunction:
     exact in integer flavor.
     """
     _check_compatible(f, g)
-    m = f.m
-    if f.flavor == REAL:
-        arr = _batch_subset_convolve(
-            np.asarray(f.values, dtype=np.float64)[None, :],
-            np.asarray(g.values, dtype=np.float64)[None, :],
-            m,
-        )[0]
-        return CubeFunction(m, arr.tolist(), REAL)
-    rows = _rank_mult(_rank_rows(f.values, m), _rank_rows(g.values, m), m)
-    for row in rows:
-        _moebius_inplace(row, m)
-    pc = _popcounts(m)
-    return CubeFunction(m, [rows[pc[s]][s] for s in range(1 << m)], INT)
+
+    def bound(masses):  # fixing A fixes B = S \ A, so |h(S)| <= sum|f| max|g|
+        (sum_f, max_f), (sum_g, max_g) = masses
+        return min(sum_f * max_g, sum_g * max_f)
+
+    out, _ = _evaluate([f, g], functools.partial(_batch_subset_convolve, m=f.m), bound)
+    return CubeFunction(f.m, out.tolist(), f.flavor)
 
 
-def corner_convolution(fs: list[CubeFunction], method: str = "fast"):
+def corner_convolution(fs: list[CubeFunction], method: str = "fast", with_kernel: bool = False):
     """n-fold convolution of fs evaluated at the all-ones corner:
     the sum of prod_j f_j(x_j) over ordered partitions x_1+..+x_n = 1^m.
+
+    with_kernel=True returns (value, kernel), where kernel names the path
+    taken: "float64", "int64", "int64-crt<k>" (k moduli) or "brute".
     """
     if not fs:
         raise ValueError("need at least one function")
@@ -144,54 +227,23 @@ def corner_convolution(fs: list[CubeFunction], method: str = "fast"):
     for f in fs[1:]:
         _check_compatible(fs[0], f)
     if method == "brute":
-        return _corner_brute(fs)
-    if method != "fast":
+        value, kernel = _corner_brute(fs), "brute"
+    elif method != "fast":
         raise ValueError(f"unknown method {method!r}")
-    if fs[0].flavor == REAL:
+    elif fs[0].flavor == REAL:
         stack = np.asarray([f.values for f in fs], dtype=np.float64)[:, None, :]
-        return float(batch_corner_value(stack, m)[0])
-    return _corner_fast_int(fs, m)
+        value, kernel = float(batch_corner_value(stack, m)[0]), "float64"
+    else:
+        out, kernel = _evaluate(fs, functools.partial(batch_corner_value, m=m), _corner_bound)
+        value = int(out[0])
+    return (value, kernel) if with_kernel else value
 
 
-def _corner_fast_int(fs: list[CubeFunction], m: int) -> int:
-    # Nonnegative inputs whose total-mass product fits 62 bits (all
-    # counting workloads at this scale) run exactly on int64 arrays;
-    # everything else takes the arbitrary-precision fold.
-    if all(v >= 0 for f in fs for v in f.values):
-        mass_bound = math.prod(sum(f.values) for f in fs)
-        if mass_bound < 2**62:
-            return _corner_fast_int64(fs, m)
-    prod = _rank_rows(fs[0].values, m)
-    for f in fs[1:]:
-        prod = _rank_mult(prod, _rank_rows(f.values, m), m)
-    # corner value = top-rank Moebius coefficient read at the full mask
-    top = prod[m]
-    pc = _popcounts(m)
-    return sum(top[s] if (m - pc[s]) % 2 == 0 else -top[s] for s in range(1 << m))
-
-
-def _corner_fast_int64(fs: list[CubeFunction], m: int) -> int:
-    """int64 variant of the batched corner fold.
-
-    Exact because every rank coefficient of a product of nonnegative
-    functions is bounded by the product of their total masses; only the
-    final alternating mask sum can exceed 64 bits, so it is accumulated
-    in Python ints.
-    """
-    tables: dict[int, np.ndarray] = {}
-    prod = None
-    for f in fs:
-        table = tables.get(id(f))
-        if table is None:
-            arr = np.asarray(f.values, dtype=np.int64)
-            table = _batch_ranked_zeta(arr, m, dtype=np.int64)
-            tables[id(f)] = table
-        prod = table if prod is None else _batch_rank_mult(prod, table, m, dtype=np.int64)
-    pc = np.array(_popcounts(m))
-    top = prod[m]
-    pos = int(top[(m - pc) % 2 == 0].astype(object).sum())
-    neg = int(top[(m - pc) % 2 == 1].astype(object).sum())
-    return pos - neg
+def _corner_bound(masses) -> int:
+    # Fixing the blocks of every f_j but f_k fixes A_k as the complement
+    # of their union, so |corner| <= prod_{j != k} sum |f_j| * max |f_k|.
+    sums = [total for total, _ in masses]
+    return min(math.prod(sums[:k] + sums[k + 1 :]) * peak for k, (_, peak) in enumerate(masses))
 
 
 def _corner_brute(fs: list[CubeFunction]):
@@ -207,56 +259,3 @@ def _corner_brute(fs: list[CubeFunction]):
             masks[j] |= 1 << coord
         total += math.prod(f.values[mask] for f, mask in zip(fs, masks))
     return total
-
-
-# ---------------------------------------------------------------------------
-# Batched float64 path (trial axes lead, mask axis last).
-
-
-def _batch_zeta_inplace(a: np.ndarray, m: int):
-    for b in range(m):
-        v = a.reshape(a.shape[:-1] + (1 << (m - 1 - b), 2, 1 << b))
-        v[..., 1, :] += v[..., 0, :]
-
-
-def _batch_ranked_zeta(a: np.ndarray, m: int, dtype=np.float64) -> np.ndarray:
-    """(..., 2^m) -> (..., m+1, 2^m) per-rank zeta tables."""
-    size = 1 << m
-    pc = np.array(_popcounts(m))
-    out = np.zeros(a.shape[:-1] + (m + 1, size), dtype=dtype)
-    out[..., pc, np.arange(size)] = a
-    _batch_zeta_inplace(out, m)
-    return out
-
-
-def _batch_rank_mult(a: np.ndarray, b: np.ndarray, m: int, dtype=np.float64) -> np.ndarray:
-    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=dtype)
-    for k in range(m + 1):
-        for i in range(k + 1):
-            out[..., k, :] += a[..., i, :] * b[..., k - i, :]
-    return out
-
-
-def _batch_subset_convolve(f: np.ndarray, g: np.ndarray, m: int) -> np.ndarray:
-    prod = _batch_rank_mult(_batch_ranked_zeta(f, m), _batch_ranked_zeta(g, m), m)
-    for b in range(m):
-        v = prod.reshape(prod.shape[:-1] + (1 << (m - 1 - b), 2, 1 << b))
-        v[..., 1, :] -= v[..., 0, :]
-    pc = np.array(_popcounts(m))
-    size = 1 << m
-    return prod[..., pc, np.arange(size)]
-
-
-def batch_corner_value(fs: np.ndarray, m: int) -> np.ndarray:
-    """Corner convolution of a batch of function tuples.
-
-    fs has shape (n, ..., 2^m); returns shape (...).  Folds rank
-    polynomials in the zeta domain and inverts only the top rank at the
-    full mask, so no intermediate Moebius transforms are needed.
-    """
-    prod = _batch_ranked_zeta(fs[0], m)
-    for j in range(1, fs.shape[0]):
-        prod = _batch_rank_mult(prod, _batch_ranked_zeta(fs[j], m), m)
-    pc = np.array(_popcounts(m))
-    signs = np.where((m - pc) % 2 == 0, 1.0, -1.0)
-    return prod[..., m, :] @ signs

@@ -118,6 +118,33 @@ class TestCountCommand:
             assert out["count"] == 9
             assert out["ratio"] == pytest.approx(math.log(9) / math.log(4))
 
+    def test_kernel_int64(self, tmp_path, capsys):
+        path = tmp_path / "fam.txt"
+        path.write_text("m=2\n-\n1\n2\n1,2\n")
+        code, out, _ = run_cli(capsys, "count", "--family", str(path), "--n", "3")
+        assert code == 0
+        assert out["kernel"] == "int64"
+
+    def test_kernel_crt(self, tmp_path, capsys):
+        # Full powerset of [12] with n=7: the corner bound 4096^6 = 2^72
+        # needs 2^64 and one prime.  Each element joins one of the six
+        # blocks or none, so the count is 7^12.
+        fam = SetFamily.from_masks(12, range(1 << 12))
+        path = tmp_path / "fam.txt"
+        path.write_text(cli.serialize_family(fam))
+        code, out, _ = run_cli(capsys, "count", "--family", str(path), "--n", "7")
+        assert code == 0
+        assert out["kernel"] == "int64-crt2"
+        assert out["count"] == 7**12
+
+    def test_kernel_brute(self, tmp_path, capsys):
+        path = tmp_path / "fam.txt"
+        path.write_text("m=2\n-\n1\n2\n1,2\n")
+        code, out, _ = run_cli(capsys, "count", "--family", str(path), "--n", "3", "--method", "brute")
+        assert code == 0
+        assert out["kernel"] == "brute"
+        assert out["count"] == 9
+
     def test_malformed_family_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
         path.write_text("m=2\n0,2\n")
@@ -184,6 +211,13 @@ class TestExtremalCommand:
     def test_cap_exceeded_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "extremal", "--n", "3", "--t", "9")
         assert code == 2
+
+    def test_cap_matches_integer_cap(self, capsys):
+        # m = 24 passes the real-flavor cap but not the integer one
+        code, out, err = run_cli(capsys, "extremal", "--n", "3", "--t", "8")
+        assert code == 2
+        assert out is None
+        assert "ground size n*t = 24 exceeds cap 22" in err
 
 
 class TestLemmaCommand:

@@ -2,6 +2,7 @@ import math
 import random
 from math import comb
 
+import numpy as np
 import pytest
 
 from cubeconv.core import SetFamily, exponent
@@ -28,6 +29,21 @@ def random_family(rng, max_m=10):
     pool = range(1 << m)
     size = rng.randint(1, min(1 << m, 24))
     return SetFamily.from_masks(m, rng.sample(pool, size))
+
+
+def sparse_subset_dp_count(members, m, n):
+    """ways[u] = ordered (n-1)-tuples of pairwise disjoint members with
+    union u; the count sums ways over the members."""
+    ways = np.zeros(1 << m, dtype=object)
+    ways[0] = 1
+    for _ in range(n - 1):
+        reached = np.nonzero(ways)[0]
+        step = np.zeros_like(ways)
+        for a in members:
+            u = reached[(reached & a) == 0]
+            step[u | a] += ways[u]  # u -> u | a is one-to-one on sets disjoint from a
+        ways = step
+    return int(sum(ways[list(members)]))
 
 
 class TestCount:
@@ -67,6 +83,17 @@ class TestCount:
             assert count_disjoint_tuples(fam, n, "fast") == count_disjoint_tuples(
                 fam, n, "brute"
             ), (fam.m, fam.members, n)
+
+    def test_n6_past_the_old_mass_bound(self):
+        # |X|^6 = 1500^6 > 2^62 sent this family to a big-int fold; the
+        # corner bound |X|^5 keeps it on one int64 pass.
+        rng = random.Random(606)
+        m, size, n = 12, 1500, 6
+        fam = SetFamily.from_masks(m, rng.sample(range(1 << m), size))
+        assert size**n >= 2**62
+        rep = bound_report(fam, n)
+        assert rep.kernel == "int64"
+        assert rep.count == sparse_subset_dp_count(fam.members, m, n)
 
 
 class TestBoundReport:

@@ -1,13 +1,14 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from cubeconv.core import INT, REAL, CubeFunction
 from cubeconv.transform import (
+    _batch_ranked_zeta,
     corner_convolution,
     moebius,
-    ranked_zeta,
     subset_convolve,
     zeta,
 )
@@ -40,6 +41,16 @@ def random_int_function(rng, m, lo=-9, hi=9):
     return CubeFunction(m, [rng.randint(lo, hi) for _ in range(1 << m)], INT)
 
 
+def wide_int_function(rng, m, scale=10**12, huge=3):
+    """Signed values around +-scale, with `huge` of them at or beyond
+    2^64 in absolute value and one at the int64 minimum."""
+    vals = [rng.randint(-scale, scale) for _ in range(1 << m)]
+    for _ in range(huge):
+        vals[rng.randrange(1 << m)] = rng.choice([-1, 1]) * rng.randint(2**64, 2**66)
+    vals[rng.randrange(1 << m)] = -(2**63)
+    return CubeFunction(m, vals, INT)
+
+
 class TestZetaMoebius:
     def test_zeta_m1(self):
         assert zeta(CubeFunction(1, [1, 1], INT)).values == (1, 2)
@@ -65,16 +76,39 @@ class TestZetaMoebius:
             f = random_int_function(rng, m, -100, 100)
             assert moebius(zeta(f)).values == f.values
 
+    def test_values_beyond_int64(self):
+        rng = random.Random(13)
+        for m in (1, 4, 7):
+            f = wide_int_function(rng, m, scale=2**63)
+            g = zeta(f)
+            assert list(g.values) == zeta_oracle(f.values, m)
+            assert moebius(g).values == f.values
+            signed = [
+                sum((-1) ** (s ^ t).bit_count() * f.values[t] for t in submasks(s)) for s in range(1 << m)
+            ]
+            assert list(moebius(f).values) == signed
+
+    def test_real_flavor_matches_direct_summation(self):
+        rng = random.Random(19)
+        f = CubeFunction(6, [rng.uniform(-1, 1) for _ in range(64)], REAL)
+        for got, want in zip(zeta(f).values, zeta_oracle(f.values, 6)):
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+        for got, want in zip(moebius(zeta(f)).values, f.values):
+            assert got == pytest.approx(want, abs=1e-12)
+
 
 class TestRankedZeta:
     def test_rank_rows_are_cardinality_restricted_sums(self):
         rng = random.Random(3)
         f = random_int_function(rng, 5)
-        table = ranked_zeta(f)
+        p = 2**31 - 1
+        table = _batch_ranked_zeta(np.array(f.values, dtype=np.int64), 5, np.int64)
+        reduced = _batch_ranked_zeta(np.array(f.values, dtype=np.int64) % p, 5, np.int64, mod=p)
         for k in range(6):
             for s in range(32):
                 expected = sum(f.values[t] for t in submasks(s) if t.bit_count() == k)
-                assert table.coeffs[k][s] == expected
+                assert table[k, s] == expected
+                assert reduced[k, s] == expected % p
 
 
 class TestSubsetConvolve:
@@ -92,6 +126,12 @@ class TestSubsetConvolve:
     def test_matches_brute_force(self, m):
         rng = random.Random(100 + m)
         f, g = random_int_function(rng, m), random_int_function(rng, m)
+        assert list(subset_convolve(f, g).values) == convolve_oracle(f, g)
+
+    @pytest.mark.parametrize("m", [1, 3, 6])
+    def test_values_beyond_int64_match_brute_force(self, m):
+        rng = random.Random(200 + m)
+        f, g = wide_int_function(rng, m, scale=2**63), wide_int_function(rng, m, scale=2**63)
         assert list(subset_convolve(f, g).values) == convolve_oracle(f, g)
 
     def test_real_flavor_matches_brute(self):
@@ -142,6 +182,37 @@ class TestCornerConvolution:
         rng = random.Random(n * 31 + m)
         fs = [random_int_function(rng, m) for _ in range(n)]
         assert corner_convolution(fs, "fast") == corner_convolution(fs, "brute")
+
+    @pytest.mark.parametrize("n,m", [(3, 4), (3, 6), (4, 5), (5, 4), (5, 6)])
+    def test_wide_signed_integers_take_crt_and_equal_brute(self, n, m):
+        rng = random.Random(n * 57 + m)
+        fs = [wide_int_function(rng, m) for _ in range(n)]
+        value, kernel = corner_convolution(fs, "fast", with_kernel=True)
+        assert kernel.startswith("int64-crt")
+        assert value == corner_convolution(fs, "brute")
+
+    def test_signed_int64_values_past_the_word_bound(self):
+        # Every value fits int64, but the corner bound (~32 * 5e11)^3 * 1e12
+        # is about 2^171: 2^64 times four primes near 2^31 covers twice it.
+        rng = random.Random(41)
+        fs = [random_int_function(rng, 5, -(10**12), 10**12) for _ in range(4)]
+        value, kernel = corner_convolution(fs, "fast", with_kernel=True)
+        assert kernel == "int64-crt5"
+        assert value == corner_convolution(fs, "brute")
+
+    def test_kernel_names(self):
+        f = CubeFunction(2, [1, 1, 1, 1], INT)
+        assert corner_convolution([f, f, f], with_kernel=True) == (9, "int64")
+        assert corner_convolution([f, f, f], "brute", with_kernel=True) == (9, "brute")
+        real = CubeFunction(2, [1.0] * 4, REAL)
+        assert corner_convolution([real, real], with_kernel=True) == (4.0, "float64")
+
+    def test_word_boundary(self):
+        # one wrapped pass is exact only while twice the bound is below 2^64
+        top = CubeFunction(1, [0, 2**63 - 1], INT)
+        assert corner_convolution([top], with_kernel=True) == (2**63 - 1, "int64")
+        bottom = CubeFunction(1, [0, -(2**63)], INT)
+        assert corner_convolution([bottom], with_kernel=True) == (-(2**63), "int64-crt2")
 
     def test_fast_equals_brute_real(self):
         rng = random.Random(23)
