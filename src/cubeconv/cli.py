@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import counting, lemma_lab, verifier
-from .core import REAL, CubeFunction, SetFamily, exponent
+from .core import MAX_M_REAL, REAL, CubeFunction, SetFamily, exponent
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -26,12 +26,36 @@ EXIT_USAGE = 2
 # comma-separated elements, "-" for the empty set, "#" comments.
 
 
+# The bit of each element token spelled canonically ("1" .. "24"); a line
+# with any other token is checked piece by piece.
+_ELEMENT_BITS = {str(e): 1 << (e - 1) for e in range(1, MAX_M_REAL + 1)}
+
+
+def _set_elements(lineno: int, pieces: list[str]) -> list[int]:
+    """The elements of one set line, each piece checked in order."""
+    elems = []
+    for piece in pieces:
+        piece = piece.strip()
+        if not piece:
+            raise ValueError(f"line {lineno}: empty element")
+        e = int(piece)
+        if e < 1:
+            raise ValueError(f"line {lineno}: element {e} out of range (1-based)")
+        elems.append(e)
+    return elems
+
+
 def parse_family(text: str) -> SetFamily:
     m = None
-    element_sets: list[frozenset[int]] = []
+    masks: list[int] = []
+    # (index in masks, elements) of the lines with other tokens; their masks
+    # may be huge, so they are built once every check has passed
+    deferred: list[tuple[int, list[int]]] = []
+    largest = 0
+    too_big = None  # largest element of the first set beyond the header's m
     saw_content = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
         if not line:
             continue
         if line.startswith("m="):
@@ -45,35 +69,38 @@ def parse_family(text: str) -> SetFamily:
             continue
         saw_content = True
         if line == "-":
-            element_sets.append(frozenset())
+            masks.append(0)
             continue
-        parts = [piece.strip() for piece in line.split(",")]
-        elems = []
-        for piece in parts:
-            if not piece:
-                raise ValueError(f"line {lineno}: empty element")
-            e = int(piece)
-            if e < 1:
-                raise ValueError(f"line {lineno}: element {e} out of range (1-based)")
-            elems.append(e)
-        if len(set(elems)) != len(elems):
+        pieces = line.split(",")
+        try:
+            mask = sum(map(_ELEMENT_BITS.__getitem__, pieces))
+            # a repeated element carries in the sum and loses a bit
+            distinct, top = mask.bit_count() == len(pieces), mask.bit_length()
+        except KeyError:
+            elems = _set_elements(lineno, pieces)
+            distinct, top = len(set(elems)) == len(elems), max(elems)
+            mask = 0
+            deferred.append((len(masks), elems))
+        if not distinct:
             raise ValueError(f"line {lineno}: duplicate element within set")
-        element_sets.append(frozenset(elems))
-    if not element_sets:
+        if m is not None and top > m and too_big is None:
+            too_big = top
+        largest = max(largest, top)
+        masks.append(mask)
+    if not masks:
         raise ValueError("family file contains no sets")
     if m is None:
-        largest = max((max(s) for s in element_sets if s), default=0)
         if largest == 0:
             raise ValueError("cannot infer m from a family of only empty sets; add an m= header")
         m = largest
-    masks = []
-    for s in element_sets:
-        if s and max(s) > m:
-            raise ValueError(f"element {max(s)} exceeds m={m}")
-        masks.append(sum(1 << (e - 1) for e in s))
-    if len(set(masks)) != len(masks):
+    if too_big is not None:
+        raise ValueError(f"element {too_big} exceeds m={m}")
+    for i, elems in deferred:
+        masks[i] = sum(1 << (e - 1) for e in elems)
+    members = sorted(set(masks))
+    if len(members) != len(masks):
         raise ValueError("duplicate sets in family file")
-    return SetFamily.from_masks(m, masks)
+    return SetFamily(m, tuple(members))
 
 
 def serialize_family(family: SetFamily) -> str:

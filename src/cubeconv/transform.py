@@ -9,6 +9,14 @@ subtracts and multiplies, so it runs on int64 residues.  The first pass
 wraps around, which is arithmetic mod 2^64; when a bound on |result|
 needs more, further passes run mod primes below 2^31, and the residues
 are combined by the Chinese remainder theorem once, at the end.
+
+Rank tables carry their rank support: the sorted ranks r at which the
+input is nonzero at some r-element mask (in some batch entry).  Only
+those rows are transformed, and a rank product builds only the ranks in
+the sumset of its factors' supports, from the pairs live on both sides.
+A rank outside the support is identically zero, so skipping it leaves
+every result exact (bit-identical in float64).  Layered inputs, such as
+the extremal families' indicators, occupy two ranks out of m+1.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ WORD = 2**64
 
 
 def _popcounts(m: int) -> np.ndarray:
-    pc = np.zeros(1 << m, dtype=np.intp)
+    pc = np.zeros(1 << m, dtype=np.uint8)
     for b in range(m):
         pc[1 << b : 2 << b] = pc[: 1 << b] + 1
     return pc
@@ -114,39 +122,69 @@ def _batch_zeta_inplace(a: np.ndarray, m: int, inverse: bool = False):
         op(v[..., 1, :], v[..., 0, :], out=v[..., 1, :])
 
 
-def _batch_ranked_zeta(a: np.ndarray, m: int, dtype=np.float64, mod=None) -> np.ndarray:
-    """(..., 2^m) -> (..., m+1, 2^m) per-rank zeta tables."""
-    size = 1 << m
-    out = np.zeros(a.shape[:-1] + (m + 1, size), dtype=dtype)
-    out[..., _popcounts(m), np.arange(size)] = a
+def _rank_slots(ranks: list[int], m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, masks): the masks whose rank is in `ranks`, and the row of
+    each in a table that holds just those ranks."""
+    pc = _popcounts(m)
+    row = np.full(m + 1, -1)
+    row[ranks] = np.arange(len(ranks))
+    masks = np.flatnonzero(row[pc] >= 0)
+    return row[pc[masks]], masks
+
+
+def _batch_ranked_zeta(a: np.ndarray, m: int, dtype=np.float64, mod=None):
+    """(..., 2^m) -> (ranks, table): the rank support of `a` (the sorted
+    ranks r at which `a` is nonzero at some r-element mask in some batch
+    entry) and the per-rank zeta tables of those ranks, shape
+    (..., len(ranks), 2^m)."""
+    live = np.any(a != 0, axis=tuple(range(a.ndim - 1)))
+    ranks = np.flatnonzero(np.bincount(_popcounts(m)[live], minlength=m + 1)).tolist()
+    rows, masks = _rank_slots(ranks, m)
+    out = np.zeros(a.shape[:-1] + (len(ranks), 1 << m), dtype=dtype)
+    out[..., rows, masks] = a[..., masks]
     _batch_zeta_inplace(out, m)  # at most 2^m * mod < 2^53 before reducing
     if mod:
         out %= mod
-    return out
+    return ranks, out
 
 
-def _batch_rank_mult(a: np.ndarray, b: np.ndarray, m: int, dtype=np.float64, mod=None):
-    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=dtype)
-    term = np.empty_like(out[..., 0, :])  # reused, so no row-sized allocation per product
-    for k in range(m + 1):
-        row = out[..., k, :]
-        for i in range(k + 1):
-            np.multiply(a[..., i, :], b[..., k - i, :], out=term)
-            if mod:
-                term %= mod
-            row += term
+def _batch_rank_mult(a, b, m: int, dtype=np.float64, mod=None, top=False):
+    """Product of two (ranks, table) rank polynomials, truncated at rank m.
+
+    Builds the ranks k in the sumset of the two supports (only k = m when
+    top=True); row k sums a_i * b_(k-i) over the live pairs in ascending
+    i.  Returns (ranks, table) like _batch_ranked_zeta."""
+    (ranks_a, table_a), (ranks_b, table_b) = a, b
+    slot_b = {r: j for j, r in enumerate(ranks_b)}
+    ranks = sorted({i + j for i in ranks_a for j in ranks_b if i + j <= m})
+    if top:
+        ranks = [k for k in ranks if k == m]
+    lead = np.broadcast_shapes(table_a.shape[:-2], table_b.shape[:-2])
+    out = np.zeros(lead + (len(ranks), 1 << m), dtype=dtype)
+    term = np.empty(lead + (1 << m,), dtype=dtype)  # reused, so no row-sized allocation per product
+    for r, k in enumerate(ranks):
+        row = out[..., r, :]
+        for ia, i in enumerate(ranks_a):
+            if k - i in slot_b:
+                np.multiply(table_a[..., ia, :], table_b[..., slot_b[k - i], :], out=term)
+                if mod:
+                    term %= mod
+                row += term
         if mod:
             row %= mod
-    return out
+    return ranks, out
 
 
 def _batch_subset_convolve(pair, m: int, dtype=np.float64, mod=None) -> np.ndarray:
     tables = (_batch_ranked_zeta(h, m, dtype, mod) for h in pair)
-    prod = _batch_rank_mult(*tables, m, dtype, mod)
+    ranks, prod = _batch_rank_mult(*tables, m, dtype, mod)
     _batch_zeta_inplace(prod, m, inverse=True)
     if mod:
         prod %= mod
-    return prod[..., _popcounts(m), np.arange(1 << m)]
+    rows, masks = _rank_slots(ranks, m)
+    out = np.zeros(prod.shape[:-2] + (1 << m,), dtype=dtype)
+    out[..., masks] = prod[..., rows, masks]
+    return out
 
 
 def batch_corner_value(fs, m: int, dtype=np.float64, mod=None) -> np.ndarray:
@@ -157,16 +195,28 @@ def batch_corner_value(fs, m: int, dtype=np.float64, mod=None) -> np.ndarray:
     only the top rank at the full mask, so no intermediate Moebius
     transforms are needed.  A run of one repeated array object
     (f_1 = ... = f_{n-1} in counting) is rank-tabulated once.
+
+    Every table holds only its rank support, and each fold builds only
+    the ranks its factors can reach.  The last fold builds rank m alone
+    (the top-rank finish), since the corner reads nothing else; for n=2
+    that is the only product.  If no fold reaches rank m, the corner is 0.
     """
+    n = len(fs)
     prod = prev = table = None
-    for a in fs:
+    for j, a in enumerate(fs):
         if a is not prev:
             table, prev = _batch_ranked_zeta(a, m, dtype, mod), a
-        prod = table if prod is None else _batch_rank_mult(prod, table, m, dtype, mod)
+        if prod is None:
+            prod = table
+        else:
+            prod = _batch_rank_mult(prod, table, m, dtype, mod, top=j == n - 1)
+    ranks, rows = prod
+    if ranks[-1:] != [m]:
+        return np.zeros(rows.shape[:-2], dtype=dtype)
     # corner value = top-rank Moebius coefficient read at the full mask;
     # reduced rows keep |top| < 2^m * mod < 2^53
     signs = np.where((m - _popcounts(m)) % 2 == 0, 1.0, -1.0).astype(dtype)
-    top = prod[..., m, :] @ signs
+    top = rows[..., -1, :] @ signs
     return top % mod if mod else top
 
 

@@ -35,15 +35,17 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def trial_uniforms(seed: int, trial_indices: np.ndarray, slots: int) -> np.ndarray:
-    """Uniform[0,1) draws, shape (len(trial_indices), slots).
+def trial_uniforms(seed: int, trial_indices: np.ndarray, slots: int, start: int = 0) -> np.ndarray:
+    """Uniform[0,1) draws in slots start .. start+slots-1, shape
+    (len(trial_indices), slots).
 
     Draw (i, j) is a pure function of (seed, i, j): slot j of the
     splitmix64 stream whose key is mix(mix(seed) + i).
     """
     with np.errstate(over="ignore"):
         keys = _mix64(_mix64(np.full(1, seed, dtype=np.uint64)) + trial_indices.astype(np.uint64))
-        states = keys[:, None] + (np.arange(1, slots + 1, dtype=np.uint64) * _GOLDEN)[None, :]
+        counters = np.arange(start + 1, start + slots + 1, dtype=np.uint64)
+        states = keys[:, None] + (counters * _GOLDEN)[None, :]
         bits = _mix64(states)
     return (bits >> np.uint64(11)).astype(np.float64) * (2.0**-53)
 
@@ -153,21 +155,23 @@ def _draw_functions(config: TrialConfig, trial_indices: np.ndarray) -> np.ndarra
     """Function tables for a chunk of trials, shape (n, chunk, 2^m).
 
     Three uniform planes per trial feed value, sparsity gate, and sign,
-    in that fixed slot order, so adding options never shifts draws.
+    in that fixed slot order, so adding options never shifts draws.  A
+    plane is drawn only when the distribution or `signed` reads it.
     """
     size = 1 << config.m
     plane = config.n * size
-    u = trial_uniforms(config.seed, trial_indices, 3 * plane)
-    u = u.reshape(len(trial_indices), 3, config.n, size)
-    value, gate, sign = u[:, 0], u[:, 1], u[:, 2]
-    if config.distribution == "uniform":
-        x = value
-    else:
-        x = -np.log1p(-value)
+
+    def draw(k: int) -> np.ndarray:  # plane k: 0 value, 1 gate, 2 sign
+        u = trial_uniforms(config.seed, trial_indices, plane, start=k * plane)
+        return u.reshape(len(trial_indices), config.n, size)
+
+    x = draw(0)
+    if config.distribution != "uniform":
+        x = -np.log1p(-x)
         if config.distribution == "sparse":
-            x = np.where(gate < config.density, x, 0.0)
+            x = np.where(draw(1) < config.density, x, 0.0)
     if config.signed:
-        x = np.where(sign < 0.5, x, -x)
+        x = np.where(draw(2) < 0.5, x, -x)
     return np.moveaxis(x, 1, 0)
 
 

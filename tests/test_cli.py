@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -50,6 +51,41 @@ class TestFamilyFiles:
     def test_late_header_rejected(self):
         with pytest.raises(ValueError):
             cli.parse_family("1\nm=3\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("m=3\n1,,2\n", "line 2: empty element"),
+            ("m=3\n1, ,2\n", "line 2: empty element"),
+            ("m=3\n2,0\n", "line 2: element 0 out of range (1-based)"),
+            ("m=3\n-4\n", "line 2: element -4 out of range (1-based)"),
+            ("m=3\n1,1\n", "line 2: duplicate element within set"),
+            ("m=3\n 2, 02\n", "line 2: duplicate element within set"),
+            ("m=3\n7,7\n", "line 2: duplicate element within set"),
+            ("m=3\n30,30\n", "line 2: duplicate element within set"),
+            ("m=2\n3\n", "element 3 exceeds m=2"),
+            ("m=2\n1\n4,1\n3\n", "element 4 exceeds m=2"),
+            ("m=2\n99999999999\n", "element 99999999999 exceeds m=2"),
+            ("m=2\n3\n1\n1\n", "element 3 exceeds m=2"),
+            ("m=2\n3\n1,,2\n", "line 3: empty element"),
+            ("1\nm=3\n", "line 2: header must precede all sets"),
+            ("m=3\nm=3\n1\n", "line 2: duplicate header"),
+            ("m=0\n1\n", "line 1: m must be >= 1"),
+            ("m=3\n# no sets\n\n", "family file contains no sets"),
+            ("", "family file contains no sets"),
+            ("-\n-\n", "cannot infer m from a family of only empty sets; add an m= header"),
+            ("m=3\n1,2\n2,1\n", "duplicate sets in family file"),
+            ("m=3\n-\n1\n-\n", "duplicate sets in family file"),
+        ],
+    )
+    def test_error_messages(self, text, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cli.parse_family(text)
+
+    def test_non_canonical_element_spellings(self):
+        fam = cli.parse_family("m=4\n 2 ,+3\n04\n1,2 # c\n-\n")
+        assert fam == cli.parse_family("m=4\n2,3\n4\n1,2\n-\n")
+        assert fam.members == (0, 0b0011, 0b0110, 0b1000)
 
     def test_round_trip(self):
         rng = random.Random(6)

@@ -96,6 +96,45 @@ class TestCount:
         assert rep.count == sparse_subset_dp_count(fam.members, m, n)
 
 
+class TestLayeredFamilies:
+    """Indicators of layered families are zero on most ranks."""
+
+    def test_empty_family_counts_zero(self):
+        for n in (2, 3, 5):
+            rep = bound_report(SetFamily(4, ()), n)
+            assert (rep.count, rep.family_size, rep.ratio) == (0, 0, None)
+            assert count_disjoint_tuples(SetFamily(4, ()), n, "brute") == 0
+
+    def test_only_the_empty_set(self):
+        for n in (2, 3, 5):
+            assert count_disjoint_tuples(SetFamily(6, (0,)), n, "fast") == 1
+
+    def test_n2_counts_every_member(self):
+        rng = random.Random(21)
+        for _ in range(20):
+            fam = random_family(rng)
+            assert count_disjoint_tuples(fam, 2, "fast") == len(fam)
+
+    def test_k_uniform_families_match_sparse_dp(self):
+        rng = random.Random(33)
+        for m, k, n in [(8, 3, 2), (9, 3, 3), (10, 0, 4), (12, 4, 2), (12, 4, 3)]:
+            layer = [s for s in range(1 << m) if s.bit_count() == k]
+            fam = SetFamily.from_masks(m, rng.sample(layer, max(1, len(layer) // 2)))
+            assert count_disjoint_tuples(fam, n) == sparse_subset_dp_count(fam.members, m, n)
+
+    def test_two_layer_families_match_sparse_dp(self):
+        rng = random.Random(34)
+        for m, k, n in [(9, 3, 3), (12, 4, 3), (12, 3, 4), (12, 2, 5)]:
+            members = []
+            for size in (k, (n - 1) * k):
+                layer = [s for s in range(1 << m) if s.bit_count() == size]
+                members += rng.sample(layer, (len(layer) + 1) // 2)
+            fam = SetFamily.from_masks(m, members)
+            count = count_disjoint_tuples(fam, n)
+            assert count > 0
+            assert count == sparse_subset_dp_count(fam.members, m, n)
+
+
 class TestBoundReport:
     def test_singleton_family_equality(self):
         rep = bound_report(SetFamily(1, (0,)), 3)

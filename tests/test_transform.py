@@ -7,6 +7,7 @@ import pytest
 from cubeconv.core import INT, REAL, CubeFunction
 from cubeconv.transform import (
     _batch_ranked_zeta,
+    batch_corner_value,
     corner_convolution,
     moebius,
     subset_convolve,
@@ -49,6 +50,18 @@ def wide_int_function(rng, m, scale=10**12, huge=3):
         vals[rng.randrange(1 << m)] = rng.choice([-1, 1]) * rng.randint(2**64, 2**66)
     vals[rng.randrange(1 << m)] = -(2**63)
     return CubeFunction(m, vals, INT)
+
+
+def layered_function(rng, m, layers, flavor=INT):
+    """Random values on the masks whose size is in `layers`, zero elsewhere."""
+    draw = (lambda: rng.randint(-9, 9)) if flavor == INT else (lambda: rng.uniform(-1, 1))
+    zero = 0 if flavor == INT else 0.0
+    vals = [draw() if s.bit_count() in layers else zero for s in range(1 << m)]
+    return CubeFunction(m, vals, flavor)
+
+
+def random_layers(rng, m):
+    return set(rng.sample(range(m + 1), rng.randint(1, min(3, m + 1))))
 
 
 class TestZetaMoebius:
@@ -100,15 +113,28 @@ class TestZetaMoebius:
 class TestRankedZeta:
     def test_rank_rows_are_cardinality_restricted_sums(self):
         rng = random.Random(3)
-        f = random_int_function(rng, 5)
         p = 2**31 - 1
-        table = _batch_ranked_zeta(np.array(f.values, dtype=np.int64), 5, np.int64)
-        reduced = _batch_ranked_zeta(np.array(f.values, dtype=np.int64) % p, 5, np.int64, mod=p)
-        for k in range(6):
-            for s in range(32):
-                expected = sum(f.values[t] for t in submasks(s) if t.bit_count() == k)
-                assert table[k, s] == expected
-                assert reduced[k, s] == expected % p
+        dense = random_int_function(rng, 5)
+        # zero on ranks 0, 2 and 5
+        layered = CubeFunction(
+            5, [v if s.bit_count() in (1, 3, 4) else 0 for s, v in enumerate(dense.values)], INT
+        )
+        for f in (dense, layered):
+            occupied = sorted({s.bit_count() for s, v in enumerate(f.values) if v})
+            a = np.array(f.values, dtype=np.int64)
+            ranks, table = _batch_ranked_zeta(a, 5, np.int64)
+            reduced_ranks, reduced = _batch_ranked_zeta(a % p, 5, np.int64, mod=p)
+            assert list(ranks) == list(reduced_ranks) == occupied
+            assert table.shape == reduced.shape == (len(occupied), 32)
+            for k in range(6):
+                for s in range(32):
+                    expected = sum(f.values[t] for t in submasks(s) if t.bit_count() == k)
+                    if k in ranks:
+                        assert table[ranks.index(k), s] == expected
+                        assert reduced[ranks.index(k), s] == expected % p
+                    else:
+                        assert expected == 0
+        assert _batch_ranked_zeta(np.array(layered.values), 5)[0] == [1, 3, 4]
 
 
 class TestSubsetConvolve:
@@ -264,3 +290,58 @@ class TestCornerConvolution:
         f = CubeFunction(1, [1, 1], INT)
         with pytest.raises(ValueError):
             corner_convolution([f, f], "magic")
+
+
+class TestRankSparse:
+    """Functions that vanish on whole ranks take the trimmed fold."""
+
+    @pytest.mark.parametrize("n,m", [(2, 1), (2, 8), (3, 5), (3, 7), (4, 6), (5, 5)])
+    @pytest.mark.parametrize("flavor", [INT, REAL])
+    def test_corner_of_layered_functions_equals_brute(self, n, m, flavor):
+        rng = random.Random(f"corner-layers:{n}:{m}:{flavor}")
+        for _ in range(6):
+            fs = [layered_function(rng, m, random_layers(rng, m), flavor) for _ in range(n)]
+            fast, brute = corner_convolution(fs, "fast"), corner_convolution(fs, "brute")
+            if flavor == INT:
+                assert fast == brute
+            else:
+                assert fast == pytest.approx(brute, rel=1e-9, abs=1e-12)
+
+    def test_corner_is_zero_when_no_fold_reaches_rank_m(self):
+        rng = random.Random(4)
+        fs = [layered_function(rng, 5, {1}) for _ in range(3)]  # ranks add up to 3 < 5
+        assert corner_convolution(fs, "fast") == corner_convolution(fs, "brute") == 0
+        zero = CubeFunction(5, [0] * 32, INT)
+        assert corner_convolution([zero, zero], with_kernel=True) == (0, "int64")
+        assert corner_convolution([CubeFunction(5, [0.0] * 32, REAL)] * 3) == 0.0
+
+    @pytest.mark.parametrize("m", [1, 4, 7, 8])
+    @pytest.mark.parametrize("flavor", [INT, REAL])
+    def test_subset_convolve_of_layered_pairs(self, m, flavor):
+        rng = random.Random(f"convolve-layers:{m}:{flavor}")
+        for _ in range(4):
+            f = layered_function(rng, m, random_layers(rng, m), flavor)
+            g = layered_function(rng, m, random_layers(rng, m), flavor)
+            got, want = subset_convolve(f, g).values, convolve_oracle(f, g)
+            if flavor == INT:
+                assert list(got) == want
+            else:
+                for a, b in zip(got, want):
+                    assert a == pytest.approx(b, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    def test_batch_rank_zero_in_some_trials(self, dtype):
+        rng = np.random.default_rng(8)
+        n, m, trials = 3, 6, 12
+        rank = np.array([s.bit_count() for s in range(1 << m)])
+        fs = rng.integers(-5, 6, size=(n, trials, 1 << m)).astype(dtype)
+        fs[:, :, (rank == 0) | (rank == 5)] = 0  # dead in every trial
+        fs[0, ::2, rank == 2] = 0  # dead in the even trials only
+        fs[1, 1::3, rank == 3] = 0
+        batch = batch_corner_value(fs, m, dtype=dtype)
+        single = [batch_corner_value(fs[:, t : t + 1], m, dtype=dtype)[0] for t in range(trials)]
+        assert np.array_equal(batch, single)
+        flavor = INT if dtype == np.int64 else REAL
+        for t in range(trials):
+            cube = [CubeFunction(m, fs[j, t].tolist(), flavor) for j in range(n)]
+            assert batch[t] == corner_convolution(cube, "brute")

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from cubeconv.core import REAL, CubeFunction, exponent
 from cubeconv.transform import corner_convolution
 from cubeconv.verifier import (
+    DISTRIBUTIONS,
     TrialConfig,
+    _draw_functions,
     check_lemma_mine,
     check_main_inequality,
     check_p_monotonicity,
@@ -187,6 +189,30 @@ class TestTrials:
         b = trial_uniforms(42, np.arange(5, 10), 16)
         assert np.array_equal(a[5:], b)
         assert np.all((a >= 0) & (a < 1))
+
+    def test_start_slot_selects_a_slice_of_the_stream(self):
+        idx = np.arange(3, 9)
+        full = trial_uniforms(7, idx, 48)
+        for start, slots in ((0, 48), (0, 5), (16, 16), (32, 16), (47, 1)):
+            part = trial_uniforms(7, idx, slots, start=start)
+            assert np.array_equal(part, full[:, start : start + slots])
+
+    @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_trimmed_draws_equal_the_full_three_plane_draw(self, distribution, signed):
+        config = TrialConfig(
+            n=3, m=4, trials=20, seed=31, distribution=distribution, density=0.4, signed=signed
+        )
+        idx = np.arange(20)
+        # value, gate and sign planes from one draw of all 3 * n * 2^m slots
+        u = trial_uniforms(config.seed, idx, 3 * 3 * 16).reshape(20, 3, 3, 16)
+        value, gate, sign = u[:, 0], u[:, 1], u[:, 2]
+        x = value if distribution == "uniform" else -np.log1p(-value)
+        if distribution == "sparse":
+            x = np.where(gate < config.density, x, 0.0)
+        if signed:
+            x = np.where(sign < 0.5, x, -x)
+        assert np.array_equal(_draw_functions(config, idx), np.moveaxis(x, 1, 0))
 
     def test_no_failures_across_distributions(self):
         for dist in ("uniform", "exponential", "sparse"):
