@@ -95,6 +95,9 @@ def parse_family(text: str) -> SetFamily:
         m = largest
     if too_big is not None:
         raise ValueError(f"element {too_big} exceeds m={m}")
+    # before the deferred masks, which take m bits each
+    if m > MAX_M_REAL:
+        raise ValueError(f"m={m} out of range [1, {MAX_M_REAL}]")
     for i, elems in deferred:
         masks[i] = sum(1 << (e - 1) for e in elems)
     members = sorted(set(masks))

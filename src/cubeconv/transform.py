@@ -17,6 +17,15 @@ the sumset of its factors' supports, from the pairs live on both sides.
 A rank outside the support is identically zero, so skipping it leaves
 every result exact (bit-identical in float64).  Layered inputs, such as
 the extremal families' indicators, occupy two ranks out of m+1.
+
+Rank tables are mask-major, (ranks, 2^m, ...): the mask axis comes
+first and the batch (trial) axes trail.  The zeta butterfly at bit b
+then adds contiguous blocks of 2^b * trials elements, and each rank
+product multiplies contiguous (2^m, ...) rows, where a trailing mask
+axis would give strided runs of 2^b elements.  For a single function
+the table is the same (ranks, 2^m) array either way.  The corner's
+final signed sum over the masks is elementwise too, so a float64 trial
+value does not depend on the batch it was computed in.
 """
 
 from __future__ import annotations
@@ -110,16 +119,20 @@ def _evaluate(fs: list[CubeFunction], kernel, bound) -> tuple[np.ndarray, str]:
 
 
 # ---------------------------------------------------------------------------
-# The reshape kernel (trial axes lead, mask axis last).  With `mod` set,
-# int64 inputs in [0, mod) give outputs in [0, mod).
+# The reshape kernel.  Inputs are (..., 2^m), trial axes first; rank
+# tables are mask-major, (ranks, 2^m, ...), trial axes last, so butterflies
+# and rank products run on contiguous blocks.  With `mod` set, int64
+# inputs in [0, mod) give outputs in [0, mod).
 
 
 def _batch_zeta_inplace(a: np.ndarray, m: int, inverse: bool = False):
-    """Sum over subsets along the last axis; inverse=True is Moebius."""
+    """Sum over subsets along axis 1 of a C-contiguous (rows, 2^m, ...)
+    array, in place; inverse=True is Moebius."""
     op = np.subtract if inverse else np.add
+    rows, trials = a.shape[0], math.prod(a.shape[2:])
     for b in range(m):
-        v = a.reshape(a.shape[:-1] + (1 << (m - 1 - b), 2, 1 << b))
-        op(v[..., 1, :], v[..., 0, :], out=v[..., 1, :])
+        v = a.reshape(rows, 1 << (m - 1 - b), 2, trials << b)
+        op(v[:, :, 1], v[:, :, 0], out=v[:, :, 1])
 
 
 def _rank_slots(ranks: list[int], m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -135,13 +148,13 @@ def _rank_slots(ranks: list[int], m: int) -> tuple[np.ndarray, np.ndarray]:
 def _batch_ranked_zeta(a: np.ndarray, m: int, dtype=np.float64, mod=None):
     """(..., 2^m) -> (ranks, table): the rank support of `a` (the sorted
     ranks r at which `a` is nonzero at some r-element mask in some batch
-    entry) and the per-rank zeta tables of those ranks, shape
-    (..., len(ranks), 2^m)."""
+    entry) and the per-rank zeta tables of those ranks, mask-major with
+    shape (len(ranks), 2^m, ...).  A 1-D `a` gives (len(ranks), 2^m)."""
     live = np.any(a != 0, axis=tuple(range(a.ndim - 1)))
     ranks = np.flatnonzero(np.bincount(_popcounts(m)[live], minlength=m + 1)).tolist()
     rows, masks = _rank_slots(ranks, m)
-    out = np.zeros(a.shape[:-1] + (len(ranks), 1 << m), dtype=dtype)
-    out[..., rows, masks] = a[..., masks]
+    out = np.zeros((len(ranks), 1 << m) + a.shape[:-1], dtype=dtype)
+    out[rows, masks] = np.moveaxis(a, -1, 0)[masks]  # the gather transposes
     _batch_zeta_inplace(out, m)  # at most 2^m * mod < 2^53 before reducing
     if mod:
         out %= mod
@@ -159,14 +172,12 @@ def _batch_rank_mult(a, b, m: int, dtype=np.float64, mod=None, top=False):
     ranks = sorted({i + j for i in ranks_a for j in ranks_b if i + j <= m})
     if top:
         ranks = [k for k in ranks if k == m]
-    lead = np.broadcast_shapes(table_a.shape[:-2], table_b.shape[:-2])
-    out = np.zeros(lead + (len(ranks), 1 << m), dtype=dtype)
-    term = np.empty(lead + (1 << m,), dtype=dtype)  # reused, so no row-sized allocation per product
-    for r, k in enumerate(ranks):
-        row = out[..., r, :]
+    out = np.zeros((len(ranks),) + table_a.shape[1:], dtype=dtype)
+    term = np.empty(table_a.shape[1:], dtype=dtype)  # reused, so no row-sized allocation per product
+    for row, k in zip(out, ranks):
         for ia, i in enumerate(ranks_a):
             if k - i in slot_b:
-                np.multiply(table_a[..., ia, :], table_b[..., slot_b[k - i], :], out=term)
+                np.multiply(table_a[ia], table_b[slot_b[k - i]], out=term)
                 if mod:
                     term %= mod
                 row += term
@@ -182,8 +193,8 @@ def _batch_subset_convolve(pair, m: int, dtype=np.float64, mod=None) -> np.ndarr
     if mod:
         prod %= mod
     rows, masks = _rank_slots(ranks, m)
-    out = np.zeros(prod.shape[:-2] + (1 << m,), dtype=dtype)
-    out[..., masks] = prod[..., rows, masks]
+    out = np.zeros(prod.shape[2:] + (1 << m,), dtype=dtype)
+    out[..., masks] = np.moveaxis(prod[rows, masks], 0, -1)
     return out
 
 
@@ -200,6 +211,13 @@ def batch_corner_value(fs, m: int, dtype=np.float64, mod=None) -> np.ndarray:
     the ranks its factors can reach.  The last fold builds rank m alone
     (the top-rank finish), since the corner reads nothing else; for n=2
     that is the only product.  If no fold reaches rank m, the corner is 0.
+
+    The tables are mask-major (see _batch_ranked_zeta), and the final
+    signed sum over the masks halves the top row m times along the mask
+    axis.  Every step is elementwise, so each trial's value is the same
+    bit for bit whatever the batch shape or chunk size.  A BLAS dot
+    product would not be: it takes one routine for a single row and
+    another for the rows left over from its blocks of four.
     """
     n = len(fs)
     prod = prev = table = None
@@ -212,12 +230,15 @@ def batch_corner_value(fs, m: int, dtype=np.float64, mod=None) -> np.ndarray:
             prod = _batch_rank_mult(prod, table, m, dtype, mod, top=j == n - 1)
     ranks, rows = prod
     if ranks[-1:] != [m]:
-        return np.zeros(rows.shape[:-2], dtype=dtype)
-    # corner value = top-rank Moebius coefficient read at the full mask;
-    # reduced rows keep |top| < 2^m * mod < 2^53
-    signs = np.where((m - _popcounts(m)) % 2 == 0, 1.0, -1.0).astype(dtype)
-    top = rows[..., -1, :] @ signs
-    return top % mod if mod else top
+        return np.zeros(rows.shape[2:], dtype=dtype)
+    # corner value = top-rank Moebius coefficient read at the full mask:
+    # each step keeps the masks that hold the highest remaining bit, minus
+    # their partners without it.  Reduced rows keep |top| < 2^m * mod < 2^53.
+    top = rows[-1]
+    for b in reversed(range(m)):
+        np.subtract(top[1 << b :], top[: 1 << b], out=top[1 << b :])
+        top = top[1 << b :]
+    return top[0] % mod if mod else top[0].copy()
 
 
 def _check_compatible(f: CubeFunction, g: CubeFunction):
@@ -229,9 +250,9 @@ def _check_compatible(f: CubeFunction, g: CubeFunction):
 
 def _lattice_transform(f: CubeFunction, inverse: bool) -> CubeFunction:
     def kernel(arrays, dtype, mod):
-        out = arrays[0].copy()
+        out = arrays[0][None].copy()
         _batch_zeta_inplace(out, f.m, inverse)
-        return out % mod if mod else out
+        return out[0] % mod if mod else out[0]
 
     # Every output is a signed sum of distinct inputs: |out| <= sum |f|.
     out, _ = _evaluate([f], kernel, lambda masses: masses[0][0])

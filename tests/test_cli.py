@@ -2,6 +2,7 @@ import json
 import math
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -187,6 +188,21 @@ class TestCountCommand:
         code, out, err = run_cli(capsys, "count", "--family", str(path), "--n", "3")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("text", ["1000000000\n", "3\n1,1000000000\n", "m=1000000000\n1000000000\n"])
+    def test_oversized_m_exits_2_before_building_masks(self, tmp_path, capsys, text):
+        path = tmp_path / "huge.txt"
+        path.write_text(text)
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "count", "--family", str(path), "--n", "3")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, None)
+        assert "m=1000000000 out of range [1, 24]" in err
+        assert "Traceback" not in err
+        assert peak < 2**24  # a 10^9-bit mask alone is 125 MB
 
     def test_missing_file_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "count", "--family", "/nonexistent", "--n", "3")

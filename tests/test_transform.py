@@ -136,6 +136,23 @@ class TestRankedZeta:
                         assert expected == 0
         assert _batch_ranked_zeta(np.array(layered.values), 5)[0] == [1, 3, 4]
 
+    @pytest.mark.parametrize("mod", [None, 2**31 - 1])
+    def test_batch_tables_are_mask_major(self, mod):
+        rng = np.random.default_rng(5)
+        rank = np.array([s.bit_count() for s in range(32)])
+        a = rng.integers(0, 9, size=(4, 32))
+        a[0, rank == 2] = 0  # each entry has its own rank support
+        a[1, (rank == 0) | (rank == 5)] = 0
+        a[3, rank % 2 == 1] = 0
+        ranks, table = _batch_ranked_zeta(a, 5, np.int64, mod)
+        assert ranks == list(range(6))
+        assert table.shape == (6, 32, 4)
+        for t in range(4):
+            own_ranks, own = _batch_ranked_zeta(a[t], 5, np.int64, mod)
+            for r in ranks:
+                want = own[own_ranks.index(r)] if r in own_ranks else np.zeros(32, np.int64)
+                assert np.array_equal(table[r, :, t], want)
+
 
 class TestSubsetConvolve:
     def test_m1_closed_form(self):
@@ -328,6 +345,18 @@ class TestRankSparse:
             else:
                 for a, b in zip(got, want):
                     assert a == pytest.approx(b, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    def test_multi_axis_batch_equals_the_flat_batch(self, dtype):
+        rng = np.random.default_rng(6)
+        n, m = 3, 6
+        fs = rng.integers(-5, 6, size=(n, 3, 4, 1 << m)).astype(dtype)
+        if dtype == np.float64:
+            fs *= rng.exponential(size=fs.shape)
+        batch = batch_corner_value(fs, m, dtype=dtype)
+        flat = batch_corner_value(fs.reshape(n, 12, 1 << m), m, dtype=dtype)
+        assert batch.shape == (3, 4)
+        assert np.array_equal(batch, flat.reshape(3, 4))
 
     @pytest.mark.parametrize("dtype", [np.float64, np.int64])
     def test_batch_rank_zero_in_some_trials(self, dtype):

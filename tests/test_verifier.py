@@ -184,6 +184,11 @@ class TestTrials:
         config = TrialConfig(n=3, m=3, trials=300, seed=9, distribution="exponential")
         assert run_trials(config, chunk=7) == run_trials(config, chunk=300)
 
+    def test_chunking_invariance_at_the_largest_sweep_cell(self):
+        config = TrialConfig(n=5, m=8, trials=64, seed=10, distribution="sparse", signed=True)
+        reports = [run_trials(config, chunk=chunk) for chunk in (1, 7, 64)]
+        assert reports[0] == reports[1] == reports[2]
+
     def test_trial_streams_depend_only_on_index(self):
         a = trial_uniforms(42, np.arange(10), 16)
         b = trial_uniforms(42, np.arange(5, 10), 16)
