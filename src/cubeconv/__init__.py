@@ -7,13 +7,9 @@ from .core import (
     CubeFunction,
     HoelderParams,
     SetFamily,
-    SubsetMask,
     exponent,
     family_to_functions,
-    is_disjoint,
     lp_norm,
-    popcount,
-    union,
 )
 from .counting import CountReport, bound_report, count_disjoint_tuples, extremal_family
 from .transform import corner_convolution, moebius, subset_convolve, zeta
@@ -33,7 +29,6 @@ __all__ = [
     "CubeFunction",
     "HoelderParams",
     "SetFamily",
-    "SubsetMask",
     "CountReport",
     "TrialConfig",
     "bound_report",
@@ -47,13 +42,10 @@ __all__ = [
     "exponent",
     "extremal_family",
     "family_to_functions",
-    "is_disjoint",
     "lp_norm",
     "moebius",
-    "popcount",
     "run_trials",
     "subset_convolve",
-    "union",
     "zeta",
 ]
 

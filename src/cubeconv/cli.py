@@ -128,6 +128,8 @@ def parse_functions(text: str) -> list[CubeFunction]:
     n = int(tokens[1][6:])
     if m < 1 or n < 1:
         raise ValueError("need m >= 1 and count >= 1")
+    if m > MAX_M_REAL:  # before n << m, which a huge m overflows
+        raise ValueError(f"m={m} out of range [1, {MAX_M_REAL}]")
     values = [float(tok) for tok in tokens[2:]]
     if len(values) != n << m:
         raise ValueError(f"expected {n << m} values, got {len(values)}")

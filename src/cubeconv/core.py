@@ -9,7 +9,6 @@ integers ("int" flavor).
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -21,51 +20,6 @@ MAX_M_INT = 22
 
 REAL = "real"
 INT = "int"
-
-
-def popcount(bits: int) -> int:
-    """Number of elements in the subset encoded by ``bits``."""
-    return bits.bit_count()
-
-
-@dataclass(frozen=True)
-class SubsetMask:
-    """A subset of {1,..,m} as an m-bit value."""
-
-    bits: int
-    m: int
-
-    def __post_init__(self):
-        if not 1 <= self.m <= MAX_M_REAL:
-            raise ValueError(f"ground-set size m={self.m} out of range [1, {MAX_M_REAL}]")
-        if self.bits < 0 or self.bits >> self.m:
-            raise ValueError(f"mask {self.bits:#b} has bits beyond position {self.m}")
-
-    def popcount(self) -> int:
-        return self.bits.bit_count()
-
-    def elements(self) -> list[int]:
-        """1-based element indices, sorted."""
-        return [i + 1 for i in range(self.m) if self.bits >> i & 1]
-
-
-def _require_same_m(a: SubsetMask, b: SubsetMask):
-    if a.m != b.m:
-        raise ValueError(f"ground-set size mismatch: {a.m} != {b.m}")
-
-
-def is_disjoint(a: SubsetMask, b: SubsetMask) -> bool:
-    _require_same_m(a, b)
-    return a.bits & b.bits == 0
-
-
-def union(a: SubsetMask, b: SubsetMask) -> SubsetMask:
-    _require_same_m(a, b)
-    return SubsetMask(a.bits | b.bits, a.m)
-
-
-def complement(a: SubsetMask) -> SubsetMask:
-    return SubsetMask(a.bits ^ ((1 << a.m) - 1), a.m)
 
 
 @dataclass(frozen=True)
@@ -86,21 +40,13 @@ class CubeFunction:
             raise ValueError(f"need exactly {1 << self.m} values, got {len(self.values)}")
         object.__setattr__(self, "values", tuple(self.values))
 
-    def __getitem__(self, mask: int):
-        return self.values[mask]
-
     @classmethod
-    def constant(cls, m: int, value, flavor: str = REAL) -> "CubeFunction":
-        return cls(m, (value,) * (1 << m), flavor)
-
-    @classmethod
-    def indicator(cls, m: int, masks, flavor: str = INT) -> "CubeFunction":
-        one = 1 if flavor == INT else 1.0
-        zero = 0 if flavor == INT else 0.0
-        vals = [zero] * (1 << m)
+    def indicator(cls, m: int, masks) -> "CubeFunction":
+        """Integer 0/1 function that is 1 exactly on `masks`."""
+        vals = [0] * (1 << m)
         for s in masks:
-            vals[s] = one
-        return cls(m, vals, flavor)
+            vals[s] = 1
+        return cls(m, vals, INT)
 
 
 @dataclass(frozen=True)
@@ -126,13 +72,6 @@ class SetFamily:
 
     def __len__(self):
         return len(self.members)
-
-    def __contains__(self, mask: int) -> bool:
-        i = bisect.bisect_left(self.members, mask)
-        return i < len(self.members) and self.members[i] == mask
-
-    def indicator(self) -> CubeFunction:
-        return CubeFunction.indicator(self.m, self.members, INT)
 
 
 @dataclass(frozen=True)
@@ -185,8 +124,7 @@ def family_to_functions(family: SetFamily, n: int) -> list[CubeFunction]:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     m = family.m
-    first = family.indicator()
     full = (1 << m) - 1
-    members = set(family.members)
-    last = CubeFunction.indicator(m, (s ^ full for s in members), INT)
+    first = CubeFunction.indicator(m, family.members)
+    last = CubeFunction.indicator(m, (s ^ full for s in family.members))
     return [first] * (n - 1) + [last]

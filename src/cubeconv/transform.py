@@ -89,20 +89,27 @@ def _evaluate(fs: list[CubeFunction], kernel, bound) -> tuple[np.ndarray, str]:
     maps each function's (sum |f|, max |f|) to B >= |result|.  The wrapped
     int64 pass (mod 2^64) is exact when 2B < 2^64; otherwise prime passes
     join until the moduli multiply past 2B, and the CRT rebuilds each
-    value.  A function repeated in fs reaches the kernel as one array."""
+    value.  A function repeated in fs reaches the kernel as one array, so
+    the kernel can tabulate it once."""
+
+    def tables(dtype) -> dict:
+        return {id(f): np.asarray(f.values, dtype=dtype) for f in fs}
+
+    def ordered(arrays: dict) -> list[np.ndarray]:
+        return [arrays[id(f)] for f in fs]
+
     if fs[0].flavor == REAL:
-        arrays = [np.asarray(f.values, dtype=np.float64) for f in fs]
-        return kernel(arrays, dtype=np.float64, mod=None), "float64"
+        return kernel(ordered(tables(np.float64)), dtype=np.float64, mod=None), "float64"
     try:
-        arrays = {id(f): np.asarray(f.values, dtype=np.int64) for f in fs}
+        arrays = tables(np.int64)
     except OverflowError:  # some value needs more than 64 bits
-        arrays = {id(f): np.array(f.values, dtype=object) for f in fs}
+        arrays = tables(object)
     masses = {key: _mass(a) for key, a in arrays.items()}
-    limit = 2 * bound([masses[id(f)] for f in fs])
+    limit = 2 * bound(ordered(masses))
 
     def residue(mod):
         reduced = {key: _residues(a, mod) for key, a in arrays.items()}
-        return np.atleast_1d(kernel([reduced[id(f)] for f in fs], dtype=np.int64, mod=mod))
+        return np.atleast_1d(kernel(ordered(reduced), dtype=np.int64, mod=mod))
 
     value = residue(None)
     if limit < WORD:
@@ -301,12 +308,9 @@ def corner_convolution(fs: list[CubeFunction], method: str = "fast", with_kernel
         value, kernel = _corner_brute(fs), "brute"
     elif method != "fast":
         raise ValueError(f"unknown method {method!r}")
-    elif fs[0].flavor == REAL:
-        stack = np.asarray([f.values for f in fs], dtype=np.float64)[:, None, :]
-        value, kernel = float(batch_corner_value(stack, m)[0]), "float64"
     else:
         out, kernel = _evaluate(fs, functools.partial(batch_corner_value, m=m), _corner_bound)
-        value = int(out[0])
+        value = out.item()  # a Python float or int, by flavor
     return (value, kernel) if with_kernel else value
 
 

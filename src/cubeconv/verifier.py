@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import REAL, CubeFunction, HoelderParams, exponent, lp_norm
+from .core import MAX_M_REAL, REAL, CubeFunction, HoelderParams, exponent, lp_norm
 from .transform import batch_corner_value, corner_convolution
 
 # Both sides of a check can be ~0, so pass/fail combines a relative and
@@ -81,12 +81,17 @@ class InequalityCheck:
     passed: bool
 
 
+def _passes(lhs, rhs):
+    """The pass/fail rule of every check, for floats or arrays alike."""
+    return lhs <= rhs * (1.0 + REL_TOL) + ABS_TOL
+
+
 def _verdict(lhs: float, rhs: float) -> InequalityCheck:
     return InequalityCheck(
         lhs=lhs,
         rhs=rhs,
         ratio=lhs / rhs if rhs > 0 else None,
-        passed=lhs <= rhs * (1.0 + REL_TOL) + ABS_TOL,
+        passed=_passes(lhs, rhs),
     )
 
 
@@ -132,7 +137,7 @@ def check_p_monotonicity(x, p_low: float, p_high: float) -> bool:
         raise ValueError("needs nonnegative inputs")
     low = sum(v ** (1.0 / p_low) for v in x) ** p_low
     high = sum(v ** (1.0 / p_high) for v in x) ** p_high
-    return low <= high * (1.0 + REL_TOL) + ABS_TOL
+    return _passes(low, high)
 
 
 def equality_witness(n: int, m: int) -> list[CubeFunction]:
@@ -146,6 +151,8 @@ def equality_witness(n: int, m: int) -> list[CubeFunction]:
     """
     if n < 2 or m < 1:
         raise ValueError("need n >= 2 and m >= 1")
+    if m > MAX_M_REAL:  # before the 2^m values are built
+        raise ValueError(f"m={m} out of range [1, {MAX_M_REAL}] for flavor {REAL!r}")
     w = (1.0 / (n - 1)) ** (1.0 / exponent(n).p)
     vals = [w ** s.bit_count() for s in range(1 << m)]
     return [CubeFunction(m, vals, REAL)] * n
@@ -186,7 +193,7 @@ def run_trials(config: TrialConfig, chunk: int = 1024) -> dict:
         fs = _draw_functions(config, idx)
         lhs = batch_corner_value(fs, config.m)
         rhs = np.prod(np.sum(np.abs(fs) ** p, axis=-1) ** (1.0 / p), axis=0)
-        failures += int(np.count_nonzero(lhs > rhs * (1.0 + REL_TOL) + ABS_TOL))
+        failures += int(np.count_nonzero(~_passes(lhs, rhs)))
         pos = rhs > 0
         if np.any(pos):
             max_ratio = max(max_ratio, float(np.max(lhs[pos] / rhs[pos])))

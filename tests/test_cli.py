@@ -210,6 +210,26 @@ class TestCountCommand:
 
 
 class TestVerifyCommand:
+    @pytest.mark.parametrize("m", [25, 2**70])
+    def test_oversized_m_in_function_file_exits_2(self, tmp_path, capsys, m):
+        path = tmp_path / "huge.txt"
+        path.write_text(f"m={m} count=1\n1.0\n")
+        code, out, err = run_cli(capsys, "verify", "--functions", str(path))
+        assert (code, out) == (2, None)
+        assert f"m={m} out of range [1, 24]" in err
+        assert "Traceback" not in err
+
+    def test_oversized_witness_exits_2_before_building_values(self, capsys):
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "verify", "--witness", "--n", "3", "--m", "25")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, None)
+        assert "m=25 out of range [1, 24]" in err
+        assert peak < 2**24  # 2^25 boxed floats alone take over 1 GB
+
     def test_small_run_passes(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--n", "3", "--m", "4", "--trials", "200", "--seed", "42"

@@ -2,19 +2,8 @@ import math
 
 import pytest
 
-from cubeconv.core import (
-    INT,
-    CubeFunction,
-    SetFamily,
-    SubsetMask,
-    complement,
-    exponent,
-    family_to_functions,
-    is_disjoint,
-    lp_norm,
-    popcount,
-    union,
-)
+import cubeconv
+from cubeconv.core import INT, CubeFunction, SetFamily, exponent, family_to_functions, lp_norm
 
 
 class TestExponent:
@@ -68,29 +57,6 @@ class TestLpNorm:
             lp_norm(CubeFunction(1, [1.0, 1.0]), 0.5)
 
 
-class TestMasks:
-    def test_basic_ops(self):
-        a = SubsetMask(0b01, 2)
-        b = SubsetMask(0b10, 2)
-        assert is_disjoint(a, b)
-        assert union(a, b).bits == 0b11
-        assert popcount(0b1011) == 3
-        assert not is_disjoint(union(a, b), a)
-
-    def test_elements_and_complement(self):
-        s = SubsetMask(0b101, 3)
-        assert s.elements() == [1, 3]
-        assert complement(s).bits == 0b010
-
-    def test_mismatched_m_rejected(self):
-        with pytest.raises(ValueError):
-            is_disjoint(SubsetMask(1, 2), SubsetMask(1, 3))
-
-    def test_out_of_range_bits_rejected(self):
-        with pytest.raises(ValueError):
-            SubsetMask(0b100, 2)
-
-
 class TestCubeFunction:
     def test_length_checked(self):
         with pytest.raises(ValueError):
@@ -110,7 +76,6 @@ class TestSetFamily:
         fam = SetFamily.from_masks(3, [5, 1, 5, 0])
         assert fam.members == (0, 1, 5)
         assert len(fam) == 3
-        assert 5 in fam and 2 not in fam
 
     def test_duplicates_rejected_in_constructor(self):
         with pytest.raises(ValueError):
@@ -149,3 +114,24 @@ class TestFamilyEncoding:
     def test_rejects_n1(self):
         with pytest.raises(ValueError):
             family_to_functions(SetFamily(1, (0,)), 1)
+
+
+class TestPackage:
+    def test_all_names_resolve_once(self):
+        assert len(set(cubeconv.__all__)) == len(cubeconv.__all__)
+        for name in cubeconv.__all__:
+            assert getattr(cubeconv, name) is not None
+
+    @pytest.mark.parametrize(
+        "name", ["SubsetMask", "is_disjoint", "union", "complement", "popcount"]
+    )
+    def test_removed_names_are_gone(self, name):
+        assert name not in cubeconv.__all__
+        assert not hasattr(cubeconv, name)
+        assert not hasattr(cubeconv.core, name)
+
+    def test_removed_members_are_gone(self):
+        for attr in ("__getitem__", "constant"):
+            assert not hasattr(CubeFunction, attr)
+        for attr in ("__contains__", "indicator"):
+            assert not hasattr(SetFamily, attr)

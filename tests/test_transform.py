@@ -308,6 +308,28 @@ class TestCornerConvolution:
         with pytest.raises(ValueError):
             corner_convolution([f, f], "magic")
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_real_corner_is_bit_identical_to_the_batch(self, n, m):
+        rng = random.Random(f"real-corner:{n}:{m}")
+
+        def draw():
+            return CubeFunction(m, [rng.uniform(-2, 2) for _ in range(1 << m)], REAL)
+
+        repeated = draw()
+        tuples = [
+            [draw() for _ in range(n)],
+            [repeated] * n,
+            [repeated] * (n - 1) + [draw()],
+            [layered_function(rng, m, random_layers(rng, m), REAL) for _ in range(n)],
+        ]
+        stack = np.array([[f.values for f in fs] for fs in tuples]).transpose(1, 0, 2)
+        batch = batch_corner_value(stack, m)
+        for t, fs in enumerate(tuples):
+            value = corner_convolution(fs)
+            assert type(value) is float
+            assert np.float64(value).tobytes() == batch[t].tobytes()
+
 
 class TestRankSparse:
     """Functions that vanish on whole ranks take the trimmed fold."""
