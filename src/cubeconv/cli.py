@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 from . import counting, lemma_lab, verifier
@@ -131,6 +132,9 @@ def parse_functions(text: str) -> list[CubeFunction]:
     if m > MAX_M_REAL:  # before n << m, which a huge m overflows
         raise ValueError(f"m={m} out of range [1, {MAX_M_REAL}]")
     values = [float(tok) for tok in tokens[2:]]
+    bad = [tok for tok, value in zip(tokens[2:], values) if not math.isfinite(value)]
+    if bad:  # nan, inf or an overflow like 1e400: the JSON output could not say it
+        raise ValueError(f"non-finite value {bad[0]!r}")
     if len(values) != n << m:
         raise ValueError(f"expected {n << m} values, got {len(values)}")
     size = 1 << m

@@ -2,30 +2,17 @@
 (subset) convolution, scalar and batched.
 
 The fast route is the classic ranked transform: tabulate the zeta
-transform separately per subset cardinality, multiply rank polynomials
-pointwise, invert.  Every flavor runs on one numpy reshape kernel.  Real
-flavor runs on float64.  Integer flavor is exact: the kernel only adds,
-subtracts and multiplies, so it runs on int64 residues.  The first pass
-wraps around, which is arithmetic mod 2^64; when a bound on |result|
-needs more, further passes run mod primes below 2^31, and the residues
-are combined by the Chinese remainder theorem once, at the end.
+transform per subset cardinality, multiply rank polynomials pointwise,
+invert.  Every flavor runs on one numpy kernel: real flavor on float64,
+integer flavor exactly on int64 residues, in one pass that wraps mod 2^64
+and, when a bound on |result| needs more, passes mod primes below 2^31
+joined by the Chinese remainder theorem.
 
-Rank tables carry their rank support: the sorted ranks r at which the
-input is nonzero at some r-element mask (in some batch entry).  Only
-those rows are transformed, and a rank product builds only the ranks in
-the sumset of its factors' supports, from the pairs live on both sides.
-A rank outside the support is identically zero, so skipping it leaves
-every result exact (bit-identical in float64).  Layered inputs, such as
-the extremal families' indicators, occupy two ranks out of m+1.
-
-Rank tables are mask-major, (ranks, 2^m, ...): the mask axis comes
-first and the batch (trial) axes trail.  The zeta butterfly at bit b
-then adds contiguous blocks of 2^b * trials elements, and each rank
-product multiplies contiguous (2^m, ...) rows, where a trailing mask
-axis would give strided runs of 2^b elements.  For a single function
-the table is the same (ranks, 2^m) array either way.  The corner's
-final signed sum over the masks is elementwise too, so a float64 trial
-value does not depend on the batch it was computed in.
+Rank tables are mask-major, (ranks, 2^m, trials...), and hold only the
+ranks at which their input is nonzero.  The kernel works in cache-sized
+pieces and skips only adds of exact zeros (see _batch_zeta_inplace and
+_batch_rank_mult), so float64 results are the same bit for bit as a full
+kernel's, and a trial's value does not depend on its batch.
 """
 
 from __future__ import annotations
@@ -43,6 +30,11 @@ BRUTE_TERM_CAP = 10**8
 
 # Modulus of the first residue pass: int64 arithmetic wraps around mod 2^64.
 WORD = 2**64
+
+# Rank-product block in positions (masks x trials): 128 KB operands stay in L2.
+_BLOCK = 1 << 14
+# Ranked zeta rows smaller than this (positions) share each butterfly pass.
+_GROUP = 1 << 16
 
 
 def _popcounts(m: int) -> np.ndarray:
@@ -126,20 +118,36 @@ def _evaluate(fs: list[CubeFunction], kernel, bound) -> tuple[np.ndarray, str]:
 
 
 # ---------------------------------------------------------------------------
-# The reshape kernel.  Inputs are (..., 2^m), trial axes first; rank
-# tables are mask-major, (ranks, 2^m, ...), trial axes last, so butterflies
-# and rank products run on contiguous blocks.  With `mod` set, int64
-# inputs in [0, mod) give outputs in [0, mod).
+# The reshape kernel: inputs (..., 2^m), rank tables (ranks, 2^m, ...); with
+# `mod` set, int64 inputs in [0, mod) give outputs in [0, mod).
 
 
-def _batch_zeta_inplace(a: np.ndarray, m: int, inverse: bool = False):
+def _batch_zeta_inplace(a: np.ndarray, m: int, inverse: bool = False, ranks=None):
     """Sum over subsets along axis 1 of a C-contiguous (rows, 2^m, ...)
-    array, in place; inverse=True is Moebius."""
+    array, in place; inverse=True is Moebius.
+
+    With `ranks` (zeta only), row j holds inputs on masks of r = ranks[j]
+    elements only; rows run in groups of up to _GROUP positions (or alone),
+    so a group stays in cache.  At bit b, a source (H, 0, L), H being the
+    k = m-1-b bits above b, sums inputs with high part H, so it can be
+    nonzero only if r-b <= |H| <= r: H in [2^(r-b) - 1, ((2^r - 1) << (k-r))
+    + 1), the slice the butterfly runs on (a group: the union of its rows').
+    A skipped add of +0.0 could only turn a -0.0 target, an input not yet
+    added to, into +0.0.  The full butterfly first adds to an input at its
+    lowest bit b, where |H| = r-1: inside the slice if b >= 1, and the
+    slice at b = 0 starts at |H| = r-1.  So the result is byte-identical."""
     op = np.subtract if inverse else np.add
-    rows, trials = a.shape[0], math.prod(a.shape[2:])
-    for b in range(m):
-        v = a.reshape(rows, 1 << (m - 1 - b), 2, trials << b)
-        op(v[:, :, 1], v[:, :, 0], out=v[:, :, 1])
+    trials = math.prod(a.shape[2:])
+    lows, highs = (ranks, ranks) if ranks is not None else ([0] * len(a), [m] * len(a))
+    per = max(1, _GROUP // (trials << m)) if ranks is not None else max(1, len(a))
+    for j in range(0, len(a), per):
+        rows, low, high = a[j : j + per], lows[j], highs[j : j + per][-1]
+        for b in range(m):
+            k = m - 1 - b
+            lo = (1 << max(low - max(b, 1), 0)) - 1
+            hi = min(1 << k, (((1 << high) - 1) << max(k - high, 0)) + 1)
+            v = rows.reshape(len(rows), 1 << k, 2, trials << b)[:, lo:hi]
+            op(v[:, :, 1], v[:, :, 0], out=v[:, :, 1])
 
 
 def _rank_slots(ranks: list[int], m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -162,40 +170,58 @@ def _batch_ranked_zeta(a: np.ndarray, m: int, dtype=np.float64, mod=None):
     rows, masks = _rank_slots(ranks, m)
     out = np.zeros((len(ranks), 1 << m) + a.shape[:-1], dtype=dtype)
     out[rows, masks] = np.moveaxis(a, -1, 0)[masks]  # the gather transposes
-    _batch_zeta_inplace(out, m)  # at most 2^m * mod < 2^53 before reducing
+    _batch_zeta_inplace(out, m, ranks=ranks)  # at most 2^m * mod < 2^53 before reducing
     if mod:
         out %= mod
     return ranks, out
 
 
 def _batch_rank_mult(a, b, m: int, dtype=np.float64, mod=None, top=False):
-    """Product of two (ranks, table) rank polynomials, truncated at rank m.
+    """Product of two (ranks, table[, floors]) rank polynomials, truncated
+    at rank m; returns (ranks, table, floors).  Builds the ranks k in the
+    sumset of the supports (only k = m when top=True); row k sums a_i *
+    b_(k-i) over the live pairs in ascending i, from 0.  A row is zero on
+    masks with fewer elements than its floor: r for a zeta row of rank r
+    (the default), else the least over its terms of their factors' larger.
 
-    Builds the ranks k in the sumset of the two supports (only k = m when
-    top=True); row k sums a_i * b_(k-i) over the live pairs in ascending
-    i.  Returns (ranks, table) like _batch_ranked_zeta."""
-    (ranks_a, table_a), (ranks_b, table_b) = a, b
+    Blocks of 2^c masks (about _BLOCK positions with their trials) are
+    built one at a time, so the operands stay in cache.  Block g holds the
+    masks with high part g, and a term needs only those from low part
+    2^(floor - |g|) - 1 on.  A skipped term is +-0 times a finite value,
+    and a sum from +0.0 never turns -0.0, so results are bit-identical."""
+    (ranks_a, table_a, *floors_a), (ranks_b, table_b, *floors_b) = a, b
+    floors_a, floors_b = (floors_a or [ranks_a])[0], (floors_b or [ranks_b])[0]
     slot_b = {r: j for j, r in enumerate(ranks_b)}
     ranks = sorted({i + j for i in ranks_a for j in ranks_b if i + j <= m})
     if top:
         ranks = [k for k in ranks if k == m]
+    pairs = [[(ia, slot_b[k - i]) for ia, i in enumerate(ranks_a) if k - i in slot_b] for k in ranks]
+    floors = [[max(floors_a[ia], floors_b[ib]) for ia, ib in terms] for terms in pairs]
     out = np.zeros((len(ranks),) + table_a.shape[1:], dtype=dtype)
-    term = np.empty(table_a.shape[1:], dtype=dtype)  # reused, so no row-sized allocation per product
-    for row, k in zip(out, ranks):
-        for ia, i in enumerate(ranks_a):
-            if k - i in slot_b:
-                np.multiply(table_a[ia], table_b[slot_b[k - i]], out=term)
-                if mod:
-                    term %= mod
-                row += term
-        if mod:
-            row %= mod
-    return ranks, out
+    trials = math.prod(table_a.shape[2:])
+    c = min(m, (_BLOCK // max(trials, 1) or 1).bit_length() - 1)
+    # (rows, positions) views, sized explicitly: a table may have no rows
+    flat_a, flat_b, flat_out = (t.reshape(len(t), trials << m) for t in (table_a, table_b, out))
+    term = np.empty(trials << c, dtype=dtype)
+    for g in range(1 << (m - c)):
+        start, end, base = (trials << c) * g, (trials << c) * (g + 1), g.bit_count()
+        for row, terms, row_floors in zip(flat_out, pairs, floors):
+            for (ia, ib), floor in zip(terms, row_floors):
+                lo = start + trials * ((1 << (floor - base)) - 1) if floor > base else start
+                if lo < end:
+                    t, acc = term[lo - start :], row[lo:end]  # names, so += stays in place
+                    np.multiply(flat_a[ia, lo:end], flat_b[ib, lo:end], out=t)
+                    if mod:
+                        t %= mod
+                    acc += t
+            if mod:
+                np.remainder(row[start:end], mod, out=row[start:end])
+    return ranks, out, [min(row_floors) for row_floors in floors]
 
 
 def _batch_subset_convolve(pair, m: int, dtype=np.float64, mod=None) -> np.ndarray:
     tables = (_batch_ranked_zeta(h, m, dtype, mod) for h in pair)
-    ranks, prod = _batch_rank_mult(*tables, m, dtype, mod)
+    ranks, prod, _ = _batch_rank_mult(*tables, m, dtype, mod)
     _batch_zeta_inplace(prod, m, inverse=True)
     if mod:
         prod %= mod
@@ -214,17 +240,11 @@ def batch_corner_value(fs, m: int, dtype=np.float64, mod=None) -> np.ndarray:
     transforms are needed.  A run of one repeated array object
     (f_1 = ... = f_{n-1} in counting) is rank-tabulated once.
 
-    Every table holds only its rank support, and each fold builds only
-    the ranks its factors can reach.  The last fold builds rank m alone
-    (the top-rank finish), since the corner reads nothing else; for n=2
-    that is the only product.  If no fold reaches rank m, the corner is 0.
-
-    The tables are mask-major (see _batch_ranked_zeta), and the final
-    signed sum over the masks halves the top row m times along the mask
-    axis.  Every step is elementwise, so each trial's value is the same
-    bit for bit whatever the batch shape or chunk size.  A BLAS dot
-    product would not be: it takes one routine for a single row and
-    another for the rows left over from its blocks of four.
+    The last fold builds rank m alone (the top-rank finish), since the
+    corner reads nothing else; if no fold reaches it, the corner is 0.
+    The final signed sum over the masks halves the top row m times along
+    the mask axis.  Every step is elementwise (a BLAS dot would not be),
+    so a trial's value is the same bit for bit in any batch or chunk.
     """
     n = len(fs)
     prod = prev = table = None
@@ -235,7 +255,7 @@ def batch_corner_value(fs, m: int, dtype=np.float64, mod=None) -> np.ndarray:
             prod = table
         else:
             prod = _batch_rank_mult(prod, table, m, dtype, mod, top=j == n - 1)
-    ranks, rows = prod
+    ranks, rows = prod[:2]
     if ranks[-1:] != [m]:
         return np.zeros(rows.shape[2:], dtype=dtype)
     # corner value = top-rank Moebius coefficient read at the full mask:

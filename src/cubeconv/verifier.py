@@ -25,14 +25,19 @@ ABS_TOL = 1e-12
 DISTRIBUTIONS = ("uniform", "exponential", "sparse")
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+# Draws per RNG slab: its uint64 state and scratch (256 KB each) stay in L2.
+_SLAB = 1 << 15
 
 
-def _mix64(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer; uint64 in, uint64 out (vectorized)."""
-    z = x + _GOLDEN
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer of z + golden, in place on uint64 z; returns z."""
+    tmp = np.empty_like(z)
+    z += _GOLDEN
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= np.right_shift(z, np.uint64(shift), out=tmp)
+        z *= np.uint64(mult)
+    z ^= np.right_shift(z, np.uint64(31), out=tmp)
+    return z
 
 
 def trial_uniforms(seed: int, trial_indices: np.ndarray, slots: int, start: int = 0) -> np.ndarray:
@@ -40,14 +45,20 @@ def trial_uniforms(seed: int, trial_indices: np.ndarray, slots: int, start: int 
     (len(trial_indices), slots).
 
     Draw (i, j) is a pure function of (seed, i, j): slot j of the
-    splitmix64 stream whose key is mix(mix(seed) + i).
+    splitmix64 stream whose key is mix(mix(seed) + i).  The draws are
+    made in place on slabs of whole trials, about _SLAB draws each, and
+    written into one float64 output, bit for bit as one pass would.
     """
-    with np.errstate(over="ignore"):
-        keys = _mix64(_mix64(np.full(1, seed, dtype=np.uint64)) + trial_indices.astype(np.uint64))
-        counters = np.arange(start + 1, start + slots + 1, dtype=np.uint64)
-        states = keys[:, None] + (counters * _GOLDEN)[None, :]
-        bits = _mix64(states)
-    return (bits >> np.uint64(11)).astype(np.float64) * (2.0**-53)
+    per_slab = max(1, _SLAB // max(slots, 1))
+    out = np.empty((len(trial_indices), slots))
+    keys = _mix64(_mix64(np.full(1, seed, dtype=np.uint64)) + trial_indices.astype(np.uint64))
+    steps = np.arange(start + 1, start + slots + 1, dtype=np.uint64) * _GOLDEN
+    for t0 in range(0, len(out), per_slab):
+        z = _mix64(keys[t0 : t0 + per_slab, None] + steps)
+        z >>= np.uint64(11)
+        # below 2^53 the int64 view is the same number, and converts faster
+        np.multiply(z.view(np.int64), 2.0**-53, out=out[t0 : t0 + per_slab])
+    return out
 
 
 @dataclass(frozen=True)
@@ -174,11 +185,11 @@ def _draw_functions(config: TrialConfig, trial_indices: np.ndarray) -> np.ndarra
 
     x = draw(0)
     if config.distribution != "uniform":
-        x = -np.log1p(-x)
+        x = np.negative(np.log1p(np.negative(x, out=x), out=x), out=x)  # -log1p(-u)
         if config.distribution == "sparse":
-            x = np.where(draw(1) < config.density, x, 0.0)
-    if config.signed:
-        x = np.where(draw(2) < 0.5, x, -x)
+            np.multiply(x, draw(1) < config.density, out=x)  # x >= 0, so x * False is +0.0
+    if config.signed:  # x -> -x where the sign draw is >= 0.5: flip the sign bit
+        x.view(np.uint64)[...] ^= (draw(2) >= 0.5).astype(np.uint64) << np.uint64(63)
     return np.moveaxis(x, 1, 0)
 
 
@@ -192,7 +203,12 @@ def run_trials(config: TrialConfig, chunk: int = 1024) -> dict:
         idx = np.arange(start, min(start + chunk, config.trials))
         fs = _draw_functions(config, idx)
         lhs = batch_corner_value(fs, config.m)
-        rhs = np.prod(np.sum(np.abs(fs) ** p, axis=-1) ** (1.0 / p), axis=0)
+        # |f|^p in place on the draws; zeros pass numpy's slow pow as 1.0 = 1^p
+        zeros = (np.abs(fs, out=fs) if config.signed else fs) == 0
+        fs += zeros
+        fs **= p
+        fs -= zeros
+        rhs = np.prod(np.sum(fs, axis=-1) ** (1.0 / p), axis=0)
         failures += int(np.count_nonzero(~_passes(lhs, rhs)))
         pos = rhs > 0
         if np.any(pos):

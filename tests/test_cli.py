@@ -219,6 +219,15 @@ class TestVerifyCommand:
         assert f"m={m} out of range [1, 24]" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_value_in_function_file_exits_2(self, tmp_path, capsys, token):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"m=1 count=2\n1.0 {token}\n1.0 1.0\n")
+        code, out, err = run_cli(capsys, "verify", "--functions", str(path))
+        assert (code, out) == (2, None)
+        assert f"non-finite value '{token}'" in err
+        assert "Traceback" not in err
+
     def test_oversized_witness_exits_2_before_building_values(self, capsys):
         tracemalloc.start()
         try:

@@ -1,12 +1,17 @@
 import itertools
+import math
 import random
 
 import numpy as np
 import pytest
 
+from cubeconv import transform
 from cubeconv.core import INT, REAL, CubeFunction
 from cubeconv.transform import (
+    _BLOCK,
+    _batch_rank_mult,
     _batch_ranked_zeta,
+    _batch_zeta_inplace,
     batch_corner_value,
     corner_convolution,
     moebius,
@@ -396,3 +401,117 @@ class TestRankSparse:
         for t in range(trials):
             cube = [CubeFunction(m, fs[j, t].tolist(), flavor) for j in range(n)]
             assert batch[t] == corner_convolution(cube, "brute")
+
+
+MERSENNE = 2**31 - 1
+
+
+def ranked_rows(rng, m, ranks, trials, kind):
+    """A table as the ranked zeta gathers it: row j holds random values on
+    the masks of ranks[j] elements and zeros elsewhere.  Float rows hold
+    -0.0 on about a third of those masks; "mod" rows hold residues."""
+    rank = np.array([s.bit_count() for s in range(1 << m)])
+    table = np.zeros((len(ranks), 1 << m, trials), dtype=np.float64 if kind == "float" else np.int64)
+    for row, r in zip(table, ranks):
+        shape = (int(np.sum(rank == r)), trials)
+        if kind == "float":
+            vals = np.where(rng.random(shape) < 0.3, -0.0, rng.standard_normal(shape))
+            vals[0, 0] = -0.0  # at least one per row
+        elif kind == "mod":
+            vals = rng.integers(0, MERSENNE, shape)
+        else:
+            vals = rng.integers(-(2**40), 2**40, shape)
+        row[rank == r] = vals
+    return table
+
+
+def rank_mult_reference(a, b, m, mod=None, top=False):
+    """Whole-row rank product: row k = sum of a_i * b_(k-i) in ascending i."""
+    (ranks_a, table_a, *_), (ranks_b, table_b, *_) = a, b
+    ranks = sorted({i + j for i in ranks_a for j in ranks_b if i + j <= m})
+    ranks = [k for k in ranks if k == m] if top else ranks
+    out = np.zeros((len(ranks),) + table_a.shape[1:], dtype=table_a.dtype)
+    for row, k in zip(out, ranks):
+        for ia, i in enumerate(ranks_a):
+            if k - i in ranks_b:
+                term = table_a[ia] * table_b[ranks_b.index(k - i)]
+                row += term % mod if mod else term
+        if mod:
+            row %= mod
+    return ranks, out
+
+
+# (m, batch shape): 2^m * trials positions below, equal to and past the
+# rank-product block, the last ones not a multiple of it
+BLOCK_CASES = [(8, (3,)), (13, ()), (14, ()), (12, (4,)), (13, (3,)), (6, (2, 150)), (8, (300,))]
+BLOCK_CASE_IDS = ["below", "1-D", "one-block", "one-block-batched", "m13x3", "two-axes", "many-blocks"]
+
+
+class TestKernelBoundaries:
+    """The trimmed, cache-blocked kernel against whole-row references."""
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    @pytest.mark.parametrize("kind", ["float", "int", "mod"])
+    @pytest.mark.parametrize("group", [1, None], ids=["row-by-row", "grouped"])
+    def test_trimmed_ranked_zeta_equals_the_full_butterfly(self, monkeypatch, m, kind, group):
+        if group:  # small rows share a pass on the union of their slices; here each runs alone
+            monkeypatch.setattr(transform, "_GROUP", group)
+        rng = np.random.default_rng([m, len(kind)])
+        for _ in range(4):
+            ranks = sorted(rng.choice(m + 1, size=rng.integers(1, m + 2), replace=False).tolist())
+            table = ranked_rows(rng, m, ranks, int(rng.integers(1, 4)), kind)
+            full, trimmed = table.copy(), table.copy()
+            _batch_zeta_inplace(full, m)
+            _batch_zeta_inplace(trimmed, m, ranks=ranks)
+            if kind == "mod":
+                full %= MERSENNE
+                trimmed %= MERSENNE
+            assert trimmed.tobytes() == full.tobytes()
+
+    def test_block_cases_straddle_the_block_size(self):
+        positions = [(1 << m) * math.prod(batch) for m, batch in BLOCK_CASES]
+        assert min(positions) < _BLOCK and _BLOCK in positions
+        assert any(p > _BLOCK and p % _BLOCK for p in positions)
+
+    @pytest.mark.parametrize("m,batch", BLOCK_CASES, ids=BLOCK_CASE_IDS)
+    @pytest.mark.parametrize("kind", ["float", "int", "mod"])
+    def test_blocked_rank_mult_equals_the_row_reference(self, m, batch, kind):
+        rng = np.random.default_rng([m, len(batch), len(kind)])
+        dtype = np.float64 if kind == "float" else np.int64
+        mod = MERSENNE if kind == "mod" else None
+        rank = np.array([s.bit_count() for s in range(1 << m)])
+
+        def table():
+            shape = batch + (1 << m,)
+            a = rng.standard_normal(shape) if kind == "float" else rng.integers(0, 2**20, shape)
+            a[..., ~np.isin(rank, rng.choice(m + 1, size=rng.integers(1, m + 2), replace=False))] = 0
+            return _batch_ranked_zeta(a.astype(dtype), m, dtype, mod)
+
+        ta, tb, tc = table(), table(), table()
+        for top in (False, True):
+            got = _batch_rank_mult(ta, tb, m, dtype, mod, top=top)
+            want = rank_mult_reference(ta, tb, m, mod, top=top)
+            assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
+            # a product as a factor: its floors must hold for the trim to be exact
+            for row, floor in zip(got[1], got[2]):
+                assert not np.any(row[rank < floor])
+            chained = _batch_rank_mult(got, tc, m, dtype, mod, top=top)
+            want = rank_mult_reference(got, tc, m, mod, top=top)
+            assert chained[0] == want[0] and chained[1].tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("batch", [(), (5,)])
+    def test_a_product_that_reaches_no_rank(self, batch):
+        m = 5
+        a = np.zeros(batch + (1 << m,))
+        a[..., 0b11111] = 2.0  # rank 5 alone
+        b = np.zeros(batch + (1 << m,))
+        b[..., 0b1] = 3.0  # rank 1 alone: 5 + 1 > m
+        ta, tb = _batch_ranked_zeta(a, m), _batch_ranked_zeta(b, m)
+        for top in (False, True):
+            ranks, table, floors = _batch_rank_mult(ta, tb, m, top=top)
+            assert (ranks, floors, table.shape) == ([], [], (0, 1 << m) + batch)
+        empty = _batch_ranked_zeta(np.zeros(batch + (1 << m,)), m)  # a table with no rows
+        assert _batch_rank_mult(empty, tb, m)[0] == []
+        ranks, table, _ = _batch_rank_mult(tb, tb, m, top=True)  # ranks 2 only, top wants 5
+        assert ranks == [] and table.shape == (0, 1 << m) + batch
+        assert np.array_equal(batch_corner_value(np.stack([b, b]), m), np.zeros(batch))

@@ -175,6 +175,25 @@ class TestEqualityWitness:
         assert all(v == 1.0 for v in f.values)
 
 
+U64 = 2**64 - 1
+GOLDEN = 0x9E3779B97F4A7C15
+
+
+def splitmix64_mix(x: int) -> int:
+    """The splitmix64 finalizer of x + golden, on Python ints."""
+    z = (x + GOLDEN) & U64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & U64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & U64
+    return z ^ (z >> 31)
+
+
+def uniform_by_definition(seed: int, i: int, j: int) -> float:
+    """Draw (seed, i, j): slot j (counter j + 1) of the stream keyed by
+    mix(mix(seed) + i), as the top 53 bits over 2^53."""
+    key = splitmix64_mix((splitmix64_mix(seed) + i) & U64)
+    return (splitmix64_mix((key + (j + 1) * GOLDEN) & U64) >> 11) * 2.0**-53
+
+
 class TestTrials:
     def test_determinism(self):
         config = TrialConfig(n=3, m=4, trials=400, seed=12345, distribution="sparse", signed=True)
@@ -201,6 +220,22 @@ class TestTrials:
         for start, slots in ((0, 48), (0, 5), (16, 16), (32, 16), (47, 1)):
             part = trial_uniforms(7, idx, slots, start=start)
             assert np.array_equal(part, full[:, start : start + slots])
+
+    @pytest.mark.parametrize(
+        "seed,indices,slots,start",
+        [
+            (0, [0, 1, 2], 5, 0),
+            (2**64 - 1, [7, 2**40, 2**63 + 3], 4, 2**40),
+            (12345, list(range(70)), 1000, 3),  # 32 trials a slab: 32, 32 and 6
+            (99, [4, 0, 9], 40_000, 17),  # more slots than a slab: one trial each
+        ],
+    )
+    def test_draws_match_the_splitmix64_definition(self, seed, indices, slots, start):
+        got = trial_uniforms(seed, np.array(indices, dtype=np.uint64), slots, start=start)
+        cols = range(slots) if len(indices) * slots <= 70_000 else [0, 1, 2**15 - 1, 2**15, slots - 1]
+        want = [[uniform_by_definition(seed, i, start + j) for j in cols] for i in indices]
+        assert got.shape == (len(indices), slots)
+        assert got[:, list(cols)].tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
     @pytest.mark.parametrize("signed", [False, True])
