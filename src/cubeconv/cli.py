@@ -14,8 +14,10 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import counting, lemma_lab, verifier
-from .core import MAX_M_REAL, REAL, CubeFunction, SetFamily, exponent
+from .core import MAX_M_REAL, REAL, CubeFunction, SetFamily, exponent, popcounts
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -47,6 +49,79 @@ def _set_elements(lineno: int, pieces: list[str]) -> list[int]:
 
 
 def parse_family(text: str) -> SetFamily:
+    """The set family of a family file.
+
+    A file in the form serialize_family writes (an optional "m=<m>"
+    header, "-" lines, sets as comma-separated elements "1" .. "24", and
+    "\\n" line ends) is read in one numpy pass over its bytes.  Any other
+    file, and any file that fails a check there, goes to the line parser,
+    which accepts every spelling of the format and words every error
+    message; so both give the same family or the same error."""
+    family = _read_canonical(text)
+    return _parse_lines(text) if family is None else family
+
+
+def _read_canonical(text: str) -> SetFamily | None:
+    """The family of a canonical file, or None if the file is not one or
+    breaks a rule of the format."""
+    if not text.isascii():
+        return None
+    m, body = None, text
+    if text.startswith("m="):
+        header, _, body = text.partition("\n")
+        digits = header[2:]
+        if not (digits.isdigit() and digits[0] != "0" and len(digits) <= 2):
+            return None
+        m = int(digits)
+    tokens = _canonical_tokens(body)
+    if tokens is None:
+        return None
+    element, heads = tokens
+    bits = np.left_shift(1, element, dtype=np.int64)
+    bits >>= 1  # "-" is element 0 and adds no bit
+    masks = np.add.reduceat(bits, heads)
+    members = np.sort(masks)
+    top = int(members[-1]).bit_length()  # the largest element, unless one repeats
+    m = top if m is None else m
+    if not 1 <= m <= MAX_M_REAL or top > m or np.any(members[1:] == members[:-1]):
+        return None
+    sizes = np.diff(np.append(heads, len(element))) - (element[heads] == 0)  # a "-" line has 0
+    if np.any(popcounts(m)[masks] != sizes):  # a repeated element carries
+        return None
+    return SetFamily(m, tuple(members.tolist()))
+
+
+def _canonical_tokens(body: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """(elements, line heads) of the set lines of a canonical file: each
+    token's element ("-" as 0) and the index of each line's first token;
+    None if the lines break the format.  The byte-wide arrays live only
+    here, so they are freed before the masks are built."""
+    if not body:
+        return None
+    b = np.frombuffer((body if body.endswith("\n") else body + "\n").encode("ascii"), dtype=np.uint8)
+    newline, dash, digit = b == ord("\n"), b == ord("-"), b - np.uint8(ord("0"))
+    sep = newline | (b == ord(","))
+    head = np.concatenate(([True], sep[:-1]))  # the byte starts a token
+    line_head = np.concatenate(([True], newline[:-1]))
+    bad = (
+        (sep & head)  # an empty token or a blank line
+        | ~(sep | dash | (digit <= 9))
+        | (head & (digit == 0))  # "0", or a leading zero
+        | (dash & ~(line_head & np.append(newline[1:], True)))  # "-" not alone on its line
+    )
+    if bad.any() or np.any(~sep[2:] & ~sep[1:-1] & ~sep[:-2]):  # or a token of 3+ bytes
+        return None
+    digit[dash] = 0
+    digit[1:] += 10 * digit[:-1] * ~head[1:]  # a two-byte token's value, at its last byte
+    ends = np.flatnonzero(sep[1:])  # the last byte of each token
+    element = digit[ends]
+    if element.max() > MAX_M_REAL:
+        return None
+    return element, np.concatenate(([0], np.flatnonzero(newline[1:][ends[:-1]]) + 1))
+
+
+def _parse_lines(text: str) -> SetFamily:
+    """The family of any family file, read line by line."""
     m = None
     masks: list[int] = []
     # (index in masks, elements) of the lines with other tokens; their masks

@@ -3,14 +3,17 @@ sharp Hoelder exponent.
 
 A point of {0,1}^m is identified with a subset of {1,..,m} stored as an
 m-bit integer (element i <-> bit i-1, little-endian).  Cube functions are
-dense tables of 2^m values, either floats ("real" flavor) or exact Python
-integers ("int" flavor).
+dense read-only tables of 2^m values, either floats ("real" flavor) or
+exact integers ("int" flavor).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 # Dense tables: real flavor capped at m <= 24 (128 MB of float64),
 # exact-integer flavor at m <= 22 (the largest layered-family ground
@@ -22,12 +25,27 @@ REAL = "real"
 INT = "int"
 
 
-@dataclass(frozen=True)
+def popcounts(m: int) -> np.ndarray:
+    """The element count of every mask 0 .. 2^m - 1, as uint8."""
+    pc = np.zeros(1 << m, dtype=np.uint8)
+    for b in range(m):
+        pc[1 << b : 2 << b] = pc[: 1 << b] + 1
+    return pc
+
+
+@dataclass(frozen=True, eq=False)
 class CubeFunction:
-    """Dense function f : {0,1}^m -> R, indexed by mask bits."""
+    """Dense function f : {0,1}^m -> R, indexed by mask bits.
+
+    Built from any sequence of 2^m numbers, `table` holds them once as a
+    read-only ndarray: float64 in real flavor; int64 in integer flavor,
+    or object dtype (Python ints) when a value needs more than 64 bits.
+    `values` is the same table as a tuple of Python numbers, built on
+    first read.
+    """
 
     m: int
-    values: tuple
+    table: np.ndarray
     flavor: str = REAL
 
     def __post_init__(self):
@@ -36,17 +54,37 @@ class CubeFunction:
             raise ValueError(f"m={self.m} out of range [1, {cap}] for flavor {self.flavor!r}")
         if self.flavor not in (REAL, INT):
             raise ValueError(f"unknown flavor {self.flavor!r}")
-        if len(self.values) != 1 << self.m:
-            raise ValueError(f"need exactly {1 << self.m} values, got {len(self.values)}")
-        object.__setattr__(self, "values", tuple(self.values))
+        if self.flavor == REAL:
+            table = np.array(self.table, dtype=np.float64)
+        else:
+            try:
+                table = np.array(self.table, dtype=np.int64)
+            except OverflowError:  # some value needs more than 64 bits
+                table = np.array(self.table, dtype=object)
+        if table.shape != (1 << self.m,):
+            raise ValueError(f"need exactly {1 << self.m} values, got {table.size}")
+        table.flags.writeable = False
+        object.__setattr__(self, "table", table)
+
+    @functools.cached_property
+    def values(self) -> tuple:
+        return tuple(self.table.tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, CubeFunction):
+            return NotImplemented
+        return (self.m, self.flavor, self.values) == (other.m, other.flavor, other.values)
+
+    def __hash__(self):
+        return hash((self.m, self.flavor, self.values))
 
     @classmethod
     def indicator(cls, m: int, masks) -> "CubeFunction":
-        """Integer 0/1 function that is 1 exactly on `masks`."""
-        vals = [0] * (1 << m)
-        for s in masks:
-            vals[s] = 1
-        return cls(m, vals, INT)
+        """Integer 0/1 function that is 1 exactly on `masks` (an array-like
+        of mask ints)."""
+        table = np.zeros(1 << m, dtype=np.int64)
+        table[np.asarray(masks, dtype=np.int64)] = 1
+        return cls(m, table, INT)
 
 
 @dataclass(frozen=True)
@@ -110,7 +148,12 @@ def lp_norm(f: CubeFunction, p: float) -> float:
     """(sum_x |f(x)|^p)^(1/p) over the whole cube; p >= 1."""
     if p < 1:
         raise ValueError(f"lp_norm requires p >= 1, got {p}")
-    total = sum(abs(v) ** p for v in f.values)
+    try:
+        total = sum(abs(v) ** p for v in f.values)
+    except OverflowError:  # one |v|^p alone is beyond float64
+        total = math.inf
+    if total == math.inf:
+        raise ValueError(f"sum of |f|^p at p={p} overflows float64")
     return total ** (1.0 / p) if total > 0 else 0.0
 
 
@@ -124,7 +167,7 @@ def family_to_functions(family: SetFamily, n: int) -> list[CubeFunction]:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     m = family.m
-    full = (1 << m) - 1
-    first = CubeFunction.indicator(m, family.members)
-    last = CubeFunction.indicator(m, (s ^ full for s in family.members))
+    members = np.array(family.members, dtype=np.int64)
+    first = CubeFunction.indicator(m, members)
+    last = CubeFunction.indicator(m, members ^ ((1 << m) - 1))
     return [first] * (n - 1) + [last]

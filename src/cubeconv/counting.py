@@ -7,7 +7,9 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .core import MAX_M_INT, SetFamily, exponent, family_to_functions
+import numpy as np
+
+from .core import MAX_M_INT, SetFamily, exponent, family_to_functions, popcounts
 from .transform import corner_convolution
 
 BRUTE_TUPLE_CAP = 10**8
@@ -104,8 +106,6 @@ def extremal_family(n: int, t: int) -> SetFamily:
     m = n * t
     if m > EXTREMAL_M_CAP:
         raise ValueError(f"ground size n*t = {m} exceeds cap {EXTREMAL_M_CAP}")
-    masks = set()
-    for size in {t, (n - 1) * t}:
-        for combo in itertools.combinations(range(m), size):
-            masks.add(sum(1 << i for i in combo))
-    return SetFamily.from_masks(m, masks)
+    pc = popcounts(m)
+    masks = np.flatnonzero((pc == t) | (pc == (n - 1) * t))
+    return SetFamily(m, tuple(masks.tolist()))

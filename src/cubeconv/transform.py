@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .core import REAL, CubeFunction
+from .core import REAL, CubeFunction, popcounts
 
 # Brute-force corner enumeration walks n^m labeled coordinate assignments.
 BRUTE_TERM_CAP = 10**8
@@ -35,13 +35,6 @@ WORD = 2**64
 _BLOCK = 1 << 14
 # Ranked zeta rows smaller than this (positions) share each butterfly pass.
 _GROUP = 1 << 16
-
-
-def _popcounts(m: int) -> np.ndarray:
-    pc = np.zeros(1 << m, dtype=np.uint8)
-    for b in range(m):
-        pc[1 << b : 2 << b] = pc[: 1 << b] + 1
-    return pc
 
 
 @functools.cache
@@ -74,8 +67,8 @@ def _mass(a: np.ndarray) -> tuple[int, int]:
 
 
 def _evaluate(fs: list[CubeFunction], kernel, bound) -> tuple[np.ndarray, str]:
-    """Run kernel(arrays, dtype=..., mod=...) on the value tables of fs;
-    return the result array and the name of the path taken.
+    """Run kernel(arrays, dtype=..., mod=...) on the tables of fs; return
+    the result array and the name of the path taken.
 
     Real flavor runs once on float64.  Integer flavor is exact: bound()
     maps each function's (sum |f|, max |f|) to B >= |result|.  The wrapped
@@ -84,18 +77,12 @@ def _evaluate(fs: list[CubeFunction], kernel, bound) -> tuple[np.ndarray, str]:
     value.  A function repeated in fs reaches the kernel as one array, so
     the kernel can tabulate it once."""
 
-    def tables(dtype) -> dict:
-        return {id(f): np.asarray(f.values, dtype=dtype) for f in fs}
-
     def ordered(arrays: dict) -> list[np.ndarray]:
         return [arrays[id(f)] for f in fs]
 
     if fs[0].flavor == REAL:
-        return kernel(ordered(tables(np.float64)), dtype=np.float64, mod=None), "float64"
-    try:
-        arrays = tables(np.int64)
-    except OverflowError:  # some value needs more than 64 bits
-        arrays = tables(object)
+        return kernel([f.table for f in fs], dtype=np.float64, mod=None), "float64"
+    arrays = {id(f): f.table for f in fs}
     masses = {key: _mass(a) for key, a in arrays.items()}
     limit = 2 * bound(ordered(masses))
 
@@ -153,7 +140,7 @@ def _batch_zeta_inplace(a: np.ndarray, m: int, inverse: bool = False, ranks=None
 def _rank_slots(ranks: list[int], m: int) -> tuple[np.ndarray, np.ndarray]:
     """(rows, masks): the masks whose rank is in `ranks`, and the row of
     each in a table that holds just those ranks."""
-    pc = _popcounts(m)
+    pc = popcounts(m)
     row = np.full(m + 1, -1)
     row[ranks] = np.arange(len(ranks))
     masks = np.flatnonzero(row[pc] >= 0)
@@ -166,7 +153,7 @@ def _batch_ranked_zeta(a: np.ndarray, m: int, dtype=np.float64, mod=None):
     entry) and the per-rank zeta tables of those ranks, mask-major with
     shape (len(ranks), 2^m, ...).  A 1-D `a` gives (len(ranks), 2^m)."""
     live = np.any(a != 0, axis=tuple(range(a.ndim - 1)))
-    ranks = np.flatnonzero(np.bincount(_popcounts(m)[live], minlength=m + 1)).tolist()
+    ranks = np.flatnonzero(np.bincount(popcounts(m)[live], minlength=m + 1)).tolist()
     rows, masks = _rank_slots(ranks, m)
     out = np.zeros((len(ranks), 1 << m) + a.shape[:-1], dtype=dtype)
     out[rows, masks] = np.moveaxis(a, -1, 0)[masks]  # the gather transposes
@@ -283,7 +270,7 @@ def _lattice_transform(f: CubeFunction, inverse: bool) -> CubeFunction:
 
     # Every output is a signed sum of distinct inputs: |out| <= sum |f|.
     out, _ = _evaluate([f], kernel, lambda masses: masses[0][0])
-    return CubeFunction(f.m, out.tolist(), f.flavor)
+    return CubeFunction(f.m, out, f.flavor)
 
 
 def zeta(f: CubeFunction) -> CubeFunction:
@@ -309,7 +296,7 @@ def subset_convolve(f: CubeFunction, g: CubeFunction) -> CubeFunction:
         return min(sum_f * max_g, sum_g * max_f)
 
     out, _ = _evaluate([f, g], functools.partial(_batch_subset_convolve, m=f.m), bound)
-    return CubeFunction(f.m, out.tolist(), f.flavor)
+    return CubeFunction(f.m, out, f.flavor)
 
 
 def corner_convolution(fs: list[CubeFunction], method: str = "fast", with_kernel: bool = False):

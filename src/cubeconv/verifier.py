@@ -112,8 +112,13 @@ def check_main_inequality(fs: list[CubeFunction], params: HoelderParams) -> Ineq
         raise ValueError(f"expected {params.n} functions, got {len(fs)}")
     if any(f.flavor != REAL for f in fs):
         raise ValueError("main inequality checks run in real flavor")
-    lhs = corner_convolution(fs, method="fast")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        lhs = corner_convolution(fs, method="fast")
+    if not math.isfinite(lhs):
+        raise ValueError("corner convolution overflows float64")
     rhs = math.prod(lp_norm(f, params.p) for f in fs)
+    if not math.isfinite(rhs):
+        raise ValueError("product of the norms overflows float64")
     return _verdict(lhs, rhs)
 
 

@@ -3,6 +3,7 @@ import math
 import random
 import re
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -275,6 +276,24 @@ class TestVerifyCommand:
         assert code == 0
         assert out["lhs"] == pytest.approx(2.0)
         assert out["max_ratio"] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ["1e308 1.0", "1.0 1e300", "-1e308 1.0", "0.0 1.0"],
+            ["-1e100 1e100", "-1e100 -1e100", "1e100 0.0", "-1e100 0.0", "0.0 1.0"],
+            ["0.0 1e308", "0.0 1.0"],  # the corner is 0; |v|^p overflows in the norm
+            ["0.0 1e190"] * 5,  # the corner is 0; each norm is finite, their product is not
+        ],
+    )
+    def test_finite_values_that_overflow_exit_2(self, tmp_path, capsys, rows):
+        path = tmp_path / "huge.txt"
+        path.write_text(f"m=1 count={len(rows)}\n" + "\n".join(rows) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning either
+            code, out, err = run_cli(capsys, "verify", "--functions", str(path))
+        assert (code, out) == (2, None)
+        assert re.fullmatch(r"error: .* overflows float64\n", err)
 
 
 class TestExtremalCommand:

@@ -1,0 +1,133 @@
+"""The numpy reader of canonical family files against the line parser.
+
+cli.parse_family reads files in the form serialize_family writes in one
+numpy pass and hands every other file to cli._parse_lines.  Each test
+here asks that parse_family and the line parser alone give the same
+family or the same ValueError message.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cubeconv import cli, counting
+from cubeconv.core import MAX_M_REAL
+
+SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+def outcome(parse, text):
+    try:
+        return "family", parse(text)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def assert_same(text):
+    assert outcome(cli.parse_family, text) == outcome(cli._parse_lines, text)
+
+
+@st.composite
+def canonical_files(draw):
+    """A file as serialize_family writes it, elements in any order, with or
+    without the header and the final newline."""
+    m = draw(st.integers(1, MAX_M_REAL))
+    sets = draw(
+        st.lists(
+            st.lists(st.integers(1, m), unique=True, max_size=m).map(lambda s: ",".join(map(str, s)) or "-"),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    lines = ([f"m={m}"] if draw(st.booleans()) else []) + sets
+    return "\n".join(lines) + ("\n" if draw(st.booleans()) else "")
+
+
+MUTATIONS = [
+    lambda lines, i: lines[:i] + [lines[i] + " # comment"] + lines[i + 1 :],
+    lambda lines, i: lines[:i] + [" " + lines[i].replace(",", " , ")] + lines[i + 1 :],
+    lambda lines, i: [line + "\r" for line in lines],
+    lambda lines, i: lines[:i] + [""] + lines[i:],
+    lambda lines, i: lines[:i] + ["03"] + lines[i:],
+    lambda lines, i: lines[:i] + ["0"] + lines[i:],
+    lambda lines, i: lines[:i] + ["25"] + lines[i:],
+    lambda lines, i: lines[:i] + ["1,24"] + lines[i:],
+    lambda lines, i: lines[:i] + [lines[i] + "," + lines[i].split(",")[0]] + lines[i + 1 :],
+    lambda lines, i: lines + [lines[i]],
+    lambda lines, i: lines[:i] + ["m=3"] + lines[i:],
+    lambda lines, i: [line if line.startswith("m=") else "-" for line in lines],
+    lambda lines, i: lines[:i] + ["1,,2"] + lines[i:],
+    lambda lines, i: lines[:i] + ["-,1"] + lines[i:],
+    lambda lines, i: lines[:i] + ["1,2,"] + lines[i:],
+    lambda lines, i: lines[:i] + ["124"] + lines[i:],
+    lambda lines, i: [line.replace("m=", "m=0") for line in lines],
+]
+
+
+@st.composite
+def mutated_files(draw):
+    text = draw(canonical_files())
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 2))):
+        i = draw(st.integers(0, len(lines) - 1))
+        lines = draw(st.sampled_from(MUTATIONS))(lines, i) or ["-"]
+    return "\n".join(lines) + ("\n" if text.endswith("\n") else "")
+
+
+class TestDifferential:
+    @SETTINGS
+    @given(canonical_files())
+    def test_canonical_files(self, text):
+        assert_same(text)
+
+    @SETTINGS
+    @given(mutated_files())
+    def test_mutated_files(self, text):
+        assert_same(text)
+
+    @SETTINGS
+    @given(st.text(alphabet="0123456789,-\nm=# \r", max_size=40))
+    def test_any_text_over_the_format_bytes(self, text):
+        assert_same(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "m=3\n1,3\n-\n2\n",
+            "1,3,7\n2",
+            "m=3\n-\n",
+            "-\n-\n",
+            "m=24\n24,1\n",
+            "m=2\n3\n",
+            "m=3\n1,1\n",
+            "24,24\n",
+            "m=3\n1,2\n2,1\n",
+            "m=3\n03\n",
+            "m=3\n0\n",
+            "25\n",
+            "m=25\n1\n",
+            "m=03\n1\n",
+            "m=3\n",
+            "",
+            "\n",
+            "-1\n",
+            "1,-\n",
+            "1\n\n",
+            "m=3\r\n1\r\n",
+            "1\nm=3\n",
+        ],
+    )
+    def test_edge_cases(self, text):
+        assert_same(text)
+
+
+def test_canonical_m21_file_never_enters_the_line_parser(monkeypatch):
+    family = counting.extremal_family(3, 7)
+    text = cli.serialize_family(family)
+
+    def refuse(text):
+        raise AssertionError("the line parser was called")
+
+    monkeypatch.setattr(cli, "_parse_lines", refuse)
+    assert cli.parse_family(text) == family
+    assert cli.parse_family(text.removesuffix("\n")) == family
