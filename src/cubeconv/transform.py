@@ -8,11 +8,16 @@ integer flavor exactly on int64 residues, in one pass that wraps mod 2^64
 and, when a bound on |result| needs more, passes mod primes below 2^31
 joined by the Chinese remainder theorem.
 
+The corner convolution reads its last function instead of transforming
+it: the corner is sum_S h(S) f_n(S^c), h the subset convolution of the
+others, so the fold builds and inverts only the ranks that f_n meets.
+
 Rank tables are mask-major, (ranks, 2^m, trials...), and hold only the
-ranks at which their input is nonzero.  The kernel works in cache-sized
-pieces and skips only adds of exact zeros (see _batch_zeta_inplace and
-_batch_rank_mult), so float64 results are the same bit for bit as a full
-kernel's, and a trial's value does not depend on its batch.
+ranks at which their input is nonzero (and which the fold can use).  The
+kernel works in cache-sized pieces and skips only adds of exact zeros and
+outputs nothing reads (see _batch_zeta_inplace and _batch_rank_mult), so
+float64 results are the same bit for bit as a full kernel's, and a
+trial's value does not depend on its batch.
 """
 
 from __future__ import annotations
@@ -109,30 +114,38 @@ def _evaluate(fs: list[CubeFunction], kernel, bound) -> tuple[np.ndarray, str]:
 # `mod` set, int64 inputs in [0, mod) give outputs in [0, mod).
 
 
-def _batch_zeta_inplace(a: np.ndarray, m: int, inverse: bool = False, ranks=None):
+def _batch_zeta_inplace(a: np.ndarray, m: int, inverse: bool = False, ranks=None, floors=None):
     """Sum over subsets along axis 1 of a C-contiguous (rows, 2^m, ...)
     array, in place; inverse=True is Moebius.
 
-    With `ranks` (zeta only), row j holds inputs on masks of r = ranks[j]
-    elements only; rows run in groups of up to _GROUP positions (or alone),
-    so a group stays in cache.  At bit b, a source (H, 0, L), H being the
-    k = m-1-b bits above b, sums inputs with high part H, so it can be
-    nonzero only if r-b <= |H| <= r: H in [2^(r-b) - 1, ((2^r - 1) << (k-r))
-    + 1), the slice the butterfly runs on (a group: the union of its rows').
-    A skipped add of +0.0 could only turn a -0.0 target, an input not yet
-    added to, into +0.0.  The full butterfly first adds to an input at its
-    lowest bit b, where |H| = r-1: inside the slice if b >= 1, and the
-    slice at b = 0 starts at |H| = r-1.  So the result is byte-identical."""
+    With `ranks`, row j has rank r = ranks[j] and floor floors[j] (default
+    r): it is +0.0 on masks of fewer than floor elements, and a zeta row
+    holds inputs on r-element masks only, a Moebius row is read only at
+    r-element masks.  Rows run in groups of up to _GROUP positions (or
+    alone), so a group stays in cache.  At bit b, with H the k = m-1-b
+    bits above b, the source (H, 0, L) sums inputs with high part H and
+    fewer than floor elements when |H| < floor - b, so it is +0.0; a zeta
+    source is also zero when |H| > r, and a Moebius target (H, 1, L) with
+    |H| > r-1 is never read.  So the butterfly runs only on floor - b <=
+    |H| <= r (r-1 for Moebius): H in [2^(floor-b) - 1, ((2^r - 1) <<
+    (k-r)) + 1) (a group: the union of its rows' slices).  A skipped add
+    of +0.0 could only turn a -0.0 target, an input not yet added to, into
+    +0.0.  The full butterfly first adds to an input at its lowest bit b,
+    where |H| = r-1: inside the slice if b >= 1, and the slice at b = 0
+    starts one lower.  So every value read is byte-identical."""
     op = np.subtract if inverse else np.add
     trials = math.prod(a.shape[2:])
-    lows, highs = (ranks, ranks) if ranks is not None else ([0] * len(a), [m] * len(a))
-    per = max(1, _GROUP // (trials << m)) if ranks is not None else max(1, len(a))
+    if ranks is None:
+        lows, highs, per = [0] * len(a), [m] * len(a), max(1, len(a))
+    else:
+        lows, highs = floors or ranks, [r - inverse for r in ranks]
+        per = max(1, _GROUP // (trials << m))
     for j in range(0, len(a), per):
-        rows, low, high = a[j : j + per], lows[j], highs[j : j + per][-1]
+        rows, low, high = a[j : j + per], min(lows[j : j + per]), max(highs[j : j + per])
         for b in range(m):
             k = m - 1 - b
             lo = (1 << max(low - max(b, 1), 0)) - 1
-            hi = min(1 << k, (((1 << high) - 1) << max(k - high, 0)) + 1)
+            hi = min(1 << k, (((1 << high) - 1) << max(k - high, 0)) + 1) if high >= 0 else 0
             v = rows.reshape(len(rows), 1 << k, 2, trials << b)[:, lo:hi]
             op(v[:, :, 1], v[:, :, 0], out=v[:, :, 1])
 
@@ -147,13 +160,18 @@ def _rank_slots(ranks: list[int], m: int) -> tuple[np.ndarray, np.ndarray]:
     return row[pc[masks]], masks
 
 
-def _batch_ranked_zeta(a: np.ndarray, m: int, dtype=np.float64, mod=None):
-    """(..., 2^m) -> (ranks, table): the rank support of `a` (the sorted
-    ranks r at which `a` is nonzero at some r-element mask in some batch
-    entry) and the per-rank zeta tables of those ranks, mask-major with
-    shape (len(ranks), 2^m, ...).  A 1-D `a` gives (len(ranks), 2^m)."""
+def _rank_support(a: np.ndarray, m: int) -> list[int]:
+    """The sorted ranks r at which (..., 2^m) `a` is nonzero at some
+    r-element mask in some batch entry."""
     live = np.any(a != 0, axis=tuple(range(a.ndim - 1)))
-    ranks = np.flatnonzero(np.bincount(popcounts(m)[live], minlength=m + 1)).tolist()
+    return np.flatnonzero(np.bincount(popcounts(m)[live], minlength=m + 1)).tolist()
+
+
+def _batch_ranked_zeta(a: np.ndarray, m: int, dtype=np.float64, mod=None, ranks=None):
+    """(..., 2^m) -> (ranks, table): `ranks` (default the rank support of
+    `a`) and the per-rank zeta tables of those ranks, mask-major with
+    shape (len(ranks), 2^m, ...).  A 1-D `a` gives (len(ranks), 2^m)."""
+    ranks = _rank_support(a, m) if ranks is None else ranks
     rows, masks = _rank_slots(ranks, m)
     out = np.zeros((len(ranks), 1 << m) + a.shape[:-1], dtype=dtype)
     out[rows, masks] = np.moveaxis(a, -1, 0)[masks]  # the gather transposes
@@ -163,10 +181,10 @@ def _batch_ranked_zeta(a: np.ndarray, m: int, dtype=np.float64, mod=None):
     return ranks, out
 
 
-def _batch_rank_mult(a, b, m: int, dtype=np.float64, mod=None, top=False):
-    """Product of two (ranks, table[, floors]) rank polynomials, truncated
-    at rank m; returns (ranks, table, floors).  Builds the ranks k in the
-    sumset of the supports (only k = m when top=True); row k sums a_i *
+def _batch_rank_mult(a, b, m: int, dtype=np.float64, mod=None, keep=None):
+    """Product of two (ranks, table[, floors]) rank polynomials; returns
+    (ranks, table, floors).  Builds the ranks k in the sumset of the
+    supports that are in `keep` (default 0 .. m); row k sums a_i *
     b_(k-i) over the live pairs in ascending i, from 0.  A row is zero on
     masks with fewer elements than its floor: r for a zeta row of rank r
     (the default), else the least over its terms of their factors' larger.
@@ -179,9 +197,8 @@ def _batch_rank_mult(a, b, m: int, dtype=np.float64, mod=None, top=False):
     (ranks_a, table_a, *floors_a), (ranks_b, table_b, *floors_b) = a, b
     floors_a, floors_b = (floors_a or [ranks_a])[0], (floors_b or [ranks_b])[0]
     slot_b = {r: j for j, r in enumerate(ranks_b)}
-    ranks = sorted({i + j for i in ranks_a for j in ranks_b if i + j <= m})
-    if top:
-        ranks = [k for k in ranks if k == m]
+    keep = set(range(m + 1) if keep is None else keep)
+    ranks = sorted({i + j for i in ranks_a for j in ranks_b} & keep)
     pairs = [[(ia, slot_b[k - i]) for ia, i in enumerate(ranks_a) if k - i in slot_b] for k in ranks]
     floors = [[max(floors_a[ia], floors_b[ib]) for ia, ib in terms] for terms in pairs]
     out = np.zeros((len(ranks),) + table_a.shape[1:], dtype=dtype)
@@ -206,53 +223,80 @@ def _batch_rank_mult(a, b, m: int, dtype=np.float64, mod=None, top=False):
     return ranks, out, [min(row_floors) for row_floors in floors]
 
 
+def _ranked_moebius(prod, m: int, dtype=np.float64, mod=None) -> np.ndarray:
+    """h (2^m, ...) from a (ranks, table, floors) product in the zeta
+    domain: h(S) is the Moebius transform of the rank-|S| row at S, and 0
+    at masks whose rank has no row.  The rows are inverted in place."""
+    ranks, table, floors = prod
+    _batch_zeta_inplace(table, m, inverse=True, ranks=ranks, floors=floors)
+    rows, masks = _rank_slots(ranks, m)
+    h = np.zeros(table.shape[1:], dtype=dtype)
+    h[masks] = table[rows, masks] % mod if mod else table[rows, masks]
+    return h
+
+
 def _batch_subset_convolve(pair, m: int, dtype=np.float64, mod=None) -> np.ndarray:
     tables = (_batch_ranked_zeta(h, m, dtype, mod) for h in pair)
-    ranks, prod, _ = _batch_rank_mult(*tables, m, dtype, mod)
-    _batch_zeta_inplace(prod, m, inverse=True)
-    if mod:
-        prod %= mod
-    rows, masks = _rank_slots(ranks, m)
-    out = np.zeros(prod.shape[2:] + (1 << m,), dtype=dtype)
-    out[..., masks] = np.moveaxis(prod[rows, masks], 0, -1)
-    return out
+    return np.moveaxis(_ranked_moebius(_batch_rank_mult(*tables, m, dtype, mod), m, dtype, mod), 0, -1)
 
 
 def batch_corner_value(fs, m: int, dtype=np.float64, mod=None) -> np.ndarray:
     """Corner convolution of a batch of function tuples.
 
     fs has shape (n, ..., 2^m), or is a list of n such arrays; returns
-    shape (...).  Folds rank polynomials in the zeta domain and inverts
-    only the top rank at the full mask, so no intermediate Moebius
-    transforms are needed.  A run of one repeated array object
-    (f_1 = ... = f_{n-1} in counting) is rank-tabulated once.
+    shape (...).  The corner is the sum over masks S of h(S) f_n(S^c),
+    where h = f_1 * ... * f_(n-1) is their subset convolution (h = f_1
+    for n = 2, and for n = 1 the corner is f_1 at the full mask).  Only
+    the ranks i with f_n nonzero at some (m-i)-element mask are needed.
+    The fold multiplies rank polynomials in the zeta domain, on the ranks
+    that the other factors can still bring to a needed one; its last
+    product builds only the needed ranks, which a trimmed Moebius
+    transform inverts.  f_n is only read.  A run of one repeated array object (f_1 = ... = f_(n-1) in
+    counting) is rank-tabulated once.
 
-    The last fold builds rank m alone (the top-rank finish), since the
-    corner reads nothing else; if no fold reaches it, the corner is 0.
-    The final signed sum over the masks halves the top row m times along
-    the mask axis.  Every step is elementwise (a BLAS dot would not be),
-    so a trial's value is the same bit for bit in any batch or chunk.
+    h times f_n reversed along the mask axis is summed by halving the
+    mask axis m times.  Every step is elementwise (a BLAS dot would not
+    be), and a zero corner reads +0.0 whatever the zero signs of its
+    terms, so a trial's value is the same bit for bit in any batch or
+    chunk.  Under `mod`, h and the terms are reduced, so the sums stay
+    below 2^m * mod.
     """
     n = len(fs)
-    prod = prev = table = None
-    for j, a in enumerate(fs):
-        if a is not prev:
-            table, prev = _batch_ranked_zeta(a, m, dtype, mod), a
-        if prod is None:
-            prod = table
-        else:
-            prod = _batch_rank_mult(prod, table, m, dtype, mod, top=j == n - 1)
-    ranks, rows = prod[:2]
-    if ranks[-1:] != [m]:
-        return np.zeros(rows.shape[2:], dtype=dtype)
-    # corner value = top-rank Moebius coefficient read at the full mask:
-    # each step keeps the masks that hold the highest remaining bit, minus
-    # their partners without it.  Reduced rows keep |top| < 2^m * mod < 2^53.
-    top = rows[-1]
+    if n == 1:
+        return fs[0][..., -1] + 0
+    last = np.moveaxis(fs[-1][..., ::-1], -1, 0)  # f_n(S^c) at mask S, mask-major
+    if n == 2:
+        h = np.multiply(np.moveaxis(fs[0], -1, 0), last, out=np.empty(last.shape, dtype=dtype))
+    else:
+        fold, supports = list(fs[:-1]), []
+        for j, a in enumerate(fold):
+            supports.append(supports[-1] if j and a is fold[j - 1] else _rank_support(a, m))
+        need = _rank_support(fs[-1][..., ::-1], m)
+        if not need or not all(supports):
+            return np.zeros(last.shape[1:], dtype=dtype)
+        # A rank is built only if the least and largest ranks of the other
+        # factors can still bring it into [need[0], need[-1]].
+        total_lo, total_hi = sum(s[0] for s in supports), sum(s[-1] for s in supports)
+        rest_lo, rest_hi = total_lo, total_hi  # of the factors after j
+        prod = prev = table = None
+        for j, (a, s) in enumerate(zip(fold, supports)):
+            rest_lo, rest_hi = rest_lo - s[0], rest_hi - s[-1]
+            if a is not prev:
+                lo, hi = need[0] - (total_hi - s[-1]), need[-1] - (total_lo - s[0])
+                table, prev = _batch_ranked_zeta(a, m, dtype, mod, [r for r in s if lo <= r <= hi]), a
+            if prod is None:
+                prod = table
+            else:
+                keep = need if j == n - 2 else range(need[0] - rest_hi, need[-1] - rest_lo + 1)
+                prod = _batch_rank_mult(prod, table, m, dtype, mod, keep)
+        del table
+        h = _ranked_moebius(prod, m, dtype, mod)
+        h *= last
+    if mod:
+        h %= mod
     for b in reversed(range(m)):
-        np.subtract(top[1 << b :], top[: 1 << b], out=top[1 << b :])
-        top = top[1 << b :]
-    return top[0] % mod if mod else top[0].copy()
+        np.add(h[: 1 << b], h[1 << b : 2 << b], out=h[: 1 << b])
+    return h[0] % mod if mod else h[0] + 0
 
 
 def _check_compatible(f: CubeFunction, g: CubeFunction):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_M_REAL, REAL, CubeFunction, HoelderParams, exponent, lp_norm
+from .core import MAX_M_REAL, REAL, CubeFunction, HoelderParams, exponent, lp_norm, lp_norms
 from .transform import batch_corner_value, corner_convolution
 
 # Both sides of a check can be ~0, so pass/fail combines a relative and
@@ -208,12 +208,8 @@ def run_trials(config: TrialConfig, chunk: int = 1024) -> dict:
         idx = np.arange(start, min(start + chunk, config.trials))
         fs = _draw_functions(config, idx)
         lhs = batch_corner_value(fs, config.m)
-        # |f|^p in place on the draws; zeros pass numpy's slow pow as 1.0 = 1^p
-        zeros = (np.abs(fs, out=fs) if config.signed else fs) == 0
-        fs += zeros
-        fs **= p
-        fs -= zeros
-        rhs = np.prod(np.sum(fs, axis=-1) ** (1.0 / p), axis=0)
+        # the product runs in f_1 .. f_n order, as in check_main_inequality
+        rhs = np.prod(lp_norms(fs, p), axis=0)
         failures += int(np.count_nonzero(~_passes(lhs, rhs)))
         pos = rhs > 0
         if np.any(pos):

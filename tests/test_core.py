@@ -56,6 +56,18 @@ class TestLpNorm:
         with pytest.raises(ValueError):
             lp_norm(CubeFunction(1, [1.0, 1.0]), 0.5)
 
+    @pytest.mark.parametrize(
+        "f",
+        [
+            CubeFunction(1, [1e308, 1.0]),
+            CubeFunction(1, [1e300, -1e300]),
+            CubeFunction(1, [0, 10**400], INT),
+        ],
+    )
+    def test_overflow_is_a_value_error(self, f):
+        with pytest.raises(ValueError, match="overflows float64"):
+            lp_norm(f, 1.5)
+
 
 class TestCubeFunction:
     def test_length_checked(self):
@@ -84,6 +96,23 @@ class TestSetFamily:
     def test_member_out_of_range(self):
         with pytest.raises(ValueError):
             SetFamily(2, (4,))
+
+    @pytest.mark.parametrize("member", [4, 2**62, 2**63, 2**70, -1, -(2**63), -(2**64)])
+    def test_member_outside_the_cube_is_named(self, member):
+        # members past int64 in either direction get the same message
+        with pytest.raises(ValueError, match=r"^family member outside 2\^\[m\]$"):
+            SetFamily(2, (0, member) if member > 0 else (member, 1))
+
+    @pytest.mark.parametrize("members", [("3",), (1.5,), (0, 2.0), (None,)])
+    def test_members_must_be_integers(self, members):
+        with pytest.raises(TypeError):
+            SetFamily(2, members)
+
+    @pytest.mark.parametrize("members", [(1, 1, 2), (2, 1), (0, 3, 3)])
+    def test_unsorted_or_repeated_members_are_named(self, members):
+        message = r"^members must be strictly increasing \(duplicates forbidden\)$"
+        with pytest.raises(ValueError, match=message):
+            SetFamily(2, members)
 
 
 class TestFamilyEncoding:

@@ -135,6 +135,24 @@ class TestLayeredFamilies:
             assert count == sparse_subset_dp_count(fam.members, m, n)
 
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_random_layered_families(self, n):
+        """Members on a few random layers, so f_n's ranks and the fold's
+        ranks overlap only in part: the fast count against the brute corner
+        where n^m is small, and against the sparse subset DP."""
+        rng = random.Random(f"layered:{n}")
+        for m in (4, 6, 9, 12):
+            for _ in range(3):
+                k = rng.randint(0, m // (n - 1))  # layers k and (n-1)k give nonzero counts
+                layers = {k, (n - 1) * k, *rng.sample(range(m + 1), rng.randint(0, 2))}
+                pool = [s for s in range(1 << m) if s.bit_count() in layers]
+                fam = SetFamily.from_masks(m, rng.sample(pool, rng.randint(1, min(len(pool), 200))))
+                count = count_disjoint_tuples(fam, n)
+                assert count == sparse_subset_dp_count(fam.members, m, n), (m, layers, fam.members)
+                if n**m <= 5000:
+                    assert count == count_disjoint_tuples(fam, n, "brute")
+
+
 class TestBoundReport:
     def test_singleton_family_equality(self):
         rep = bound_report(SetFamily(1, (0,)), 3)

@@ -1,9 +1,11 @@
-"""The numpy reader of canonical family files against the line parser.
+"""The numpy reader and writer of canonical family files against loop
+references.
 
 cli.parse_family reads files in the form serialize_family writes in one
-numpy pass and hands every other file to cli._parse_lines.  Each test
-here asks that parse_family and the line parser alone give the same
-family or the same ValueError message.
+numpy pass and hands every other file to cli._parse_lines.  Each reader
+test here asks that parse_family and the line parser alone give the same
+family or the same ValueError message.  The writer tests ask that
+serialize_family write the same text as a loop over each member's bits.
 """
 
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubeconv import cli, counting
-from cubeconv.core import MAX_M_REAL
+from cubeconv.core import MAX_M_REAL, SetFamily
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -131,3 +133,39 @@ def test_canonical_m21_file_never_enters_the_line_parser(monkeypatch):
     monkeypatch.setattr(cli, "_parse_lines", refuse)
     assert cli.parse_family(text) == family
     assert cli.parse_family(text.removesuffix("\n")) == family
+
+
+def serialize_by_loop(family):
+    """The family file written one member and one bit at a time."""
+    lines = [f"m={family.m}"]
+    for mask in family.members:
+        elems = [str(i + 1) for i in range(family.m) if mask >> i & 1]
+        lines.append(",".join(elems) if elems else "-")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def families(draw):
+    m = draw(st.integers(1, MAX_M_REAL))
+    masks = draw(st.lists(st.integers(0, (1 << m) - 1), max_size=40))
+    return SetFamily.from_masks(m, masks + draw(st.sampled_from([[], [0], [(1 << m) - 1]])))
+
+
+class TestWriter:
+    @SETTINGS
+    @given(families())
+    def test_writes_the_loop_text(self, family):
+        text = cli.serialize_family(family)
+        assert text == serialize_by_loop(family)
+        if len(family):  # a file without sets is an error
+            assert cli.parse_family(text) == family
+
+    @pytest.mark.parametrize("m", [1, 9, 10, MAX_M_REAL])
+    def test_edge_families(self, m):
+        for masks in ([], [0], [(1 << m) - 1], [0, 1 << (m - 1)]):
+            family = SetFamily.from_masks(m, masks)
+            assert cli.serialize_family(family) == serialize_by_loop(family)
+
+    def test_m21_extremal_family(self):
+        family = counting.extremal_family(3, 7)
+        assert cli.serialize_family(family) == serialize_by_loop(family)

@@ -403,6 +403,125 @@ class TestRankSparse:
             assert batch[t] == corner_convolution(cube, "brute")
 
 
+class TestAdjointFinish:
+    """The corner as sum_S h(S) f_n(S^c): f_n is read, never rank-tabulated,
+    and the fold builds only the ranks that f_n can meet."""
+
+    def spy(self, monkeypatch):
+        """Record the ranks of each zeta table and each rank product built."""
+        built = {"zeta": [], "product": []}
+        zeta, mult = transform._batch_ranked_zeta, transform._batch_rank_mult
+
+        def ranked_zeta(*args, **kwargs):
+            out = zeta(*args, **kwargs)
+            built["zeta"].append(out[0])
+            return out
+
+        def rank_mult(*args, **kwargs):
+            out = mult(*args, **kwargs)
+            built["product"].append(out[0])
+            return out
+
+        monkeypatch.setattr(transform, "_batch_ranked_zeta", ranked_zeta)
+        monkeypatch.setattr(transform, "_batch_rank_mult", rank_mult)
+        return built
+
+    @pytest.mark.parametrize("flavor", [INT, REAL])
+    def test_need_prunes_the_ranks_the_fold_reaches(self, monkeypatch, flavor):
+        rng = random.Random(f"need:{flavor}")
+        m = 7
+        dense = [layered_function(rng, m, set(range(m + 1)), flavor) for _ in range(2)]
+        last = layered_function(rng, m, {3}, flavor)  # f_n(S^c) needs |S| = 4
+        built = self.spy(monkeypatch)
+        fast = corner_convolution(dense + [last])
+        # two zeta tables (none for f_n), each cut to ranks 0..4; one product row
+        assert built == {"zeta": [list(range(5))] * 2, "product": [[4]]}
+        brute = corner_convolution(dense + [last], "brute")
+        assert fast == brute if flavor == INT else fast == pytest.approx(brute, rel=1e-9, abs=1e-12)
+
+    def test_repeated_factors_are_cut_to_the_ranks_that_can_meet_f_n(self, monkeypatch):
+        # the counting shape: f_1 = f_2 = f_3 on ranks {1, 3}, f_n on {1, 3}
+        rng = random.Random(5)
+        m = 4
+        f = layered_function(rng, m, {1, 3})
+        last = layered_function(rng, m, {1, 3})
+        built = self.spy(monkeypatch)
+        fast = corner_convolution([f, f, f, last])
+        # need = {1, 3}: rank 1 of f alone can sum to 3; products keep 2 and then 3
+        assert built == {"zeta": [[1]], "product": [[2], [3]]}
+        assert fast == corner_convolution([f, f, f, last], "brute")
+
+    @pytest.mark.parametrize("flavor", [INT, REAL])
+    def test_a_fold_that_reaches_no_needed_rank_is_zero(self, monkeypatch, flavor):
+        rng = random.Random(f"no-need:{flavor}")
+        m = 6
+        fs = [layered_function(rng, m, {1}, flavor) for _ in range(2)]
+        fs.append(layered_function(rng, m, {3}, flavor))  # needs |S| = 3; the fold has rank 2
+        built = self.spy(monkeypatch)
+        value = corner_convolution(fs)
+        assert built["product"] in ([], [[]])
+        assert np.float64(value).tobytes() == np.float64(0.0).tobytes()
+        assert corner_convolution(fs, "brute") == 0
+        zero = CubeFunction(m, [0] * (1 << m), flavor)
+        assert corner_convolution(fs[:2] + [zero]) == 0  # nothing to read
+
+    def test_one_and_two_functions(self):
+        rng = random.Random(12)
+        for m in (1, 3, 6):
+            f, g = random_int_function(rng, m), random_int_function(rng, m)
+            assert corner_convolution([f]) == f.values[-1]
+            full = (1 << m) - 1
+            dot = sum(f.values[s] * g.values[full ^ s] for s in range(1 << m))
+            assert corner_convolution([f, g]) == dot
+            wide, wider = wide_int_function(rng, m), wide_int_function(rng, m)
+            assert corner_convolution([wide], with_kernel=True)[0] == wide.values[-1]
+            value, kernel = corner_convolution([wide, wider], with_kernel=True)
+            assert kernel.startswith("int64-crt") and value == corner_convolution([wide, wider], "brute")
+            real = [CubeFunction(m, [rng.uniform(-1, 1) for _ in range(1 << m)], REAL) for _ in range(2)]
+            assert corner_convolution(real[:1], with_kernel=True) == (real[0].values[-1], "float64")
+            brute = corner_convolution(real, "brute")
+            assert corner_convolution(real) == pytest.approx(brute, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_kernels_agree_with_brute(self, n):
+        rng = random.Random(f"kernels:{n}")
+        m = 4
+        small = [random_int_function(rng, m) for _ in range(n)]
+        value, kernel = corner_convolution(small, with_kernel=True)
+        assert (value, kernel) == (corner_convolution(small, "brute"), "int64")
+        wide = [wide_int_function(rng, m) for _ in range(n)]
+        value, kernel = corner_convolution(wide, with_kernel=True)
+        assert kernel.startswith("int64-crt") and value == corner_convolution(wide, "brute")
+        real = [layered_function(rng, m, random_layers(rng, m), REAL) for _ in range(n)]
+        value, kernel = corner_convolution(real, with_kernel=True)
+        assert kernel == "float64"
+        assert value == pytest.approx(corner_convolution(real, "brute"), rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("m", [1, 2, 4, 6])
+    def test_negative_zero_inputs_give_the_batch_bits(self, n, m):
+        """Half the values are -0.0, and some trials hold only -0.0 on whole
+        ranks or everywhere, so their rank supports differ from the batch's."""
+        rng = np.random.default_rng([n, m])
+        rank = np.array([s.bit_count() for s in range(1 << m)])
+        trials = 24
+        shape = (n, trials, 1 << m)
+        fs = np.where(rng.random(shape) < 0.5, -0.0, rng.standard_normal(shape))
+        for t in range(trials):
+            for j in range(n):
+                if rng.random() < 0.4:
+                    fs[j, t, np.isin(rank, rng.choice(m + 1, size=rng.integers(1, m + 1)))] = -0.0
+        fs[:, :3] = -0.0
+        batch = batch_corner_value(fs, m)
+        for chunk in (1, 5):
+            parts = [batch_corner_value(fs[:, t : t + chunk], m) for t in range(0, trials, chunk)]
+            assert np.concatenate(parts).tobytes() == batch.tobytes()
+        for t in range(trials):
+            value = corner_convolution([CubeFunction(m, fs[j, t], REAL) for j in range(n)])
+            assert np.float64(value).tobytes() == batch[t].tobytes()
+        assert np.float64(0.0).tobytes() == batch[0].tobytes()  # a zero corner reads +0.0
+
+
 MERSENNE = 2**31 - 1
 
 
@@ -425,11 +544,12 @@ def ranked_rows(rng, m, ranks, trials, kind):
     return table
 
 
-def rank_mult_reference(a, b, m, mod=None, top=False):
-    """Whole-row rank product: row k = sum of a_i * b_(k-i) in ascending i."""
+def rank_mult_reference(a, b, m, mod=None, keep=None):
+    """Whole-row rank product: row k = sum of a_i * b_(k-i) in ascending i,
+    for the ranks k <= m in `keep` (default all)."""
     (ranks_a, table_a, *_), (ranks_b, table_b, *_) = a, b
     ranks = sorted({i + j for i in ranks_a for j in ranks_b if i + j <= m})
-    ranks = [k for k in ranks if k == m] if top else ranks
+    ranks = ranks if keep is None else [k for k in ranks if k in keep]
     out = np.zeros((len(ranks),) + table_a.shape[1:], dtype=table_a.dtype)
     for row, k in zip(out, ranks):
         for ia, i in enumerate(ranks_a):
@@ -468,6 +588,34 @@ class TestKernelBoundaries:
                 trimmed %= MERSENNE
             assert trimmed.tobytes() == full.tobytes()
 
+    @pytest.mark.parametrize("m", range(1, 11))
+    @pytest.mark.parametrize("kind", ["float", "int", "mod"])
+    @pytest.mark.parametrize("group", [1, None], ids=["row-by-row", "grouped"])
+    def test_trimmed_moebius_equals_the_full_butterfly_where_read(self, monkeypatch, m, kind, group):
+        """A rank-r Moebius row is read only at r-element masks, and is +0.0
+        below its floor; there the trimmed butterfly gives the full one's bytes."""
+        if group:
+            monkeypatch.setattr(transform, "_GROUP", group)
+        rng = np.random.default_rng([m, len(kind), 7])
+        rank = np.array([s.bit_count() for s in range(1 << m)])
+        dtype = np.float64 if kind == "float" else np.int64
+        for _ in range(4):
+            ranks = sorted(rng.choice(m + 1, size=rng.integers(1, m + 2), replace=False).tolist())
+            floors = [int(rng.integers(0, r + 1)) for r in ranks]
+            table = np.zeros((len(ranks), 1 << m, int(rng.integers(1, 4))), dtype=dtype)
+            for row, floor in zip(table, floors):  # values from the floor up; float: a third -0.0
+                shape = (int(np.sum(rank >= floor)), row.shape[1])
+                if kind == "float":
+                    vals = np.where(rng.random(shape) < 0.3, -0.0, rng.standard_normal(shape))
+                    row[rank >= floor] = vals
+                else:
+                    row[rank >= floor] = rng.integers(0, MERSENNE if kind == "mod" else 2**40, shape)
+            full, trimmed = table.copy(), table.copy()
+            _batch_zeta_inplace(full, m, inverse=True)
+            _batch_zeta_inplace(trimmed, m, inverse=True, ranks=ranks, floors=floors)
+            for j, r in enumerate(ranks):
+                assert trimmed[j, rank == r].tobytes() == full[j, rank == r].tobytes()
+
     def test_block_cases_straddle_the_block_size(self):
         positions = [(1 << m) * math.prod(batch) for m, batch in BLOCK_CASES]
         assert min(positions) < _BLOCK and _BLOCK in positions
@@ -488,15 +636,15 @@ class TestKernelBoundaries:
             return _batch_ranked_zeta(a.astype(dtype), m, dtype, mod)
 
         ta, tb, tc = table(), table(), table()
-        for top in (False, True):
-            got = _batch_rank_mult(ta, tb, m, dtype, mod, top=top)
-            want = rank_mult_reference(ta, tb, m, mod, top=top)
+        for keep in (None, [m], range(0, m + 1, 2)):
+            got = _batch_rank_mult(ta, tb, m, dtype, mod, keep)
+            want = rank_mult_reference(ta, tb, m, mod, keep)
             assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
             # a product as a factor: its floors must hold for the trim to be exact
             for row, floor in zip(got[1], got[2]):
                 assert not np.any(row[rank < floor])
-            chained = _batch_rank_mult(got, tc, m, dtype, mod, top=top)
-            want = rank_mult_reference(got, tc, m, mod, top=top)
+            chained = _batch_rank_mult(got, tc, m, dtype, mod, keep)
+            want = rank_mult_reference(got, tc, m, mod, keep)
             assert chained[0] == want[0] and chained[1].tobytes() == want[1].tobytes()
 
     @pytest.mark.parametrize("batch", [(), (5,)])
@@ -507,11 +655,11 @@ class TestKernelBoundaries:
         b = np.zeros(batch + (1 << m,))
         b[..., 0b1] = 3.0  # rank 1 alone: 5 + 1 > m
         ta, tb = _batch_ranked_zeta(a, m), _batch_ranked_zeta(b, m)
-        for top in (False, True):
-            ranks, table, floors = _batch_rank_mult(ta, tb, m, top=top)
+        for keep in (None, [m]):
+            ranks, table, floors = _batch_rank_mult(ta, tb, m, keep=keep)
             assert (ranks, floors, table.shape) == ([], [], (0, 1 << m) + batch)
         empty = _batch_ranked_zeta(np.zeros(batch + (1 << m,)), m)  # a table with no rows
         assert _batch_rank_mult(empty, tb, m)[0] == []
-        ranks, table, _ = _batch_rank_mult(tb, tb, m, top=True)  # ranks 2 only, top wants 5
+        ranks, table, _ = _batch_rank_mult(tb, tb, m, keep=[m])  # ranks 2 only, 5 wanted
         assert ranks == [] and table.shape == (0, 1 << m) + batch
         assert np.array_equal(batch_corner_value(np.stack([b, b]), m), np.zeros(batch))

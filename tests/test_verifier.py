@@ -101,7 +101,7 @@ class TestTwoPoint:
         st.integers(min_value=2, max_value=6),
         st.data(),
     )
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     def test_random_signed_tuples(self, n, data):
         vals = st.floats(min_value=-10, max_value=10, allow_nan=False)
         u = data.draw(st.lists(vals, min_size=n, max_size=n))
@@ -126,7 +126,7 @@ class TestLemmaMine:
         st.integers(min_value=2, max_value=8),
         st.data(),
     )
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     def test_log_uniform_samples(self, n, data):
         logs = st.floats(min_value=math.log(1e-6), max_value=math.log(1e6))
         x = [math.exp(t) for t in data.draw(st.lists(logs, min_size=n, max_size=n))]
@@ -276,6 +276,34 @@ class TestTrials:
             cube = [CubeFunction(3, fs[j, t].tolist(), REAL) for j in range(3)]
             ratios.append(check_main_inequality(cube, params).ratio)
         assert report["max_ratio"] == pytest.approx(max(ratios), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "distribution,signed",
+        [("uniform", False), ("exponential", True), ("sparse", False), ("sparse", True)],
+    )
+    @pytest.mark.parametrize("n,m", [(2, 5), (3, 4), (5, 3)])
+    def test_drawn_trial_checks_to_the_batched_bits(self, monkeypatch, n, m, distribution, signed):
+        """A drawn trial checked alone gives the lhs and rhs that the batch
+        gave it, bit for bit."""
+        from cubeconv import verifier
+
+        config = TrialConfig(n=n, m=m, trials=40, seed=901, distribution=distribution, signed=signed)
+        sides = []
+
+        def capture(lhs, rhs):
+            sides.append((lhs.copy(), rhs.copy()))
+            return verifier_passes(lhs, rhs)
+
+        verifier_passes = verifier._passes
+        monkeypatch.setattr(verifier, "_passes", capture)
+        run_trials(config, chunk=16)
+        lhs, rhs = (np.concatenate(side) for side in zip(*sides))
+        monkeypatch.undo()
+        fs = _draw_functions(config, np.arange(config.trials))
+        for t in range(config.trials):
+            check = check_main_inequality([CubeFunction(m, f, REAL) for f in fs[:, t]], exponent(n))
+            assert np.float64(check.lhs).tobytes() == lhs[t].tobytes()
+            assert np.float64(check.rhs).tobytes() == rhs[t].tobytes()
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
