@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import counting, lemma_lab, verifier
-from .core import MAX_M_REAL, REAL, CubeFunction, SetFamily, exponent, popcounts
+from .core import MAX_M, REAL, CubeFunction, SetFamily, check_m, exponent, popcounts
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -29,15 +29,10 @@ EXIT_USAGE = 2
 # comma-separated elements, "-" for the empty set, "#" comments.
 
 
-# The bit of each element token spelled canonically ("1" .. "24"); a line
-# with any other token is checked piece by piece.
-_ELEMENT_BITS = {str(e): 1 << (e - 1) for e in range(1, MAX_M_REAL + 1)}
-
-
-def _set_elements(lineno: int, pieces: list[str]) -> list[int]:
-    """The elements of one set line, each piece checked in order."""
+def _set_elements(lineno: int, line: str) -> list[int]:
+    """The elements of one set line ("-" is the empty set), checked in order."""
     elems = []
-    for piece in pieces:
+    for piece in [] if line == "-" else line.split(","):
         piece = piece.strip()
         if not piece:
             raise ValueError(f"line {lineno}: empty element")
@@ -45,6 +40,8 @@ def _set_elements(lineno: int, pieces: list[str]) -> list[int]:
         if e < 1:
             raise ValueError(f"line {lineno}: element {e} out of range (1-based)")
         elems.append(e)
+    if len(set(elems)) != len(elems):
+        raise ValueError(f"line {lineno}: duplicate element within set")
     return elems
 
 
@@ -83,7 +80,7 @@ def _read_canonical(text: str) -> SetFamily | None:
     members = np.sort(masks)
     top = int(members[-1]).bit_length()  # the largest element, unless one repeats
     m = top if m is None else m
-    if not 1 <= m <= MAX_M_REAL or top > m or np.any(members[1:] == members[:-1]):
+    if not 1 <= m <= MAX_M or top > m or np.any(members[1:] == members[:-1]):
         return None
     sizes = np.diff(np.append(heads, len(element))) - (element[heads] == 0)  # a "-" line has 0
     if np.any(popcounts(m)[masks] != sizes):  # a repeated element carries
@@ -115,27 +112,22 @@ def _canonical_tokens(body: str) -> tuple[np.ndarray, np.ndarray] | None:
     digit[1:] += 10 * digit[:-1] * ~head[1:]  # a two-byte token's value, at its last byte
     ends = np.flatnonzero(sep[1:])  # the last byte of each token
     element = digit[ends]
-    if element.max() > MAX_M_REAL:
+    if element.max() > MAX_M:
         return None
     return element, np.concatenate(([0], np.flatnonzero(newline[1:][ends[:-1]]) + 1))
 
 
 def _parse_lines(text: str) -> SetFamily:
-    """The family of any family file, read line by line."""
+    """The family of any family file, read line by line.  The masks, which
+    may be huge, are built once every check has passed."""
     m = None
-    masks: list[int] = []
-    # (index in masks, elements) of the lines with other tokens; their masks
-    # may be huge, so they are built once every check has passed
-    deferred: list[tuple[int, list[int]]] = []
-    largest = 0
-    too_big = None  # largest element of the first set beyond the header's m
-    saw_content = False
+    sets: list[list[int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
         if not line:
             continue
         if line.startswith("m="):
-            if saw_content:
+            if sets:
                 raise ValueError(f"line {lineno}: header must precede all sets")
             if m is not None:
                 raise ValueError(f"line {lineno}: duplicate header")
@@ -143,39 +135,19 @@ def _parse_lines(text: str) -> SetFamily:
             if m < 1:
                 raise ValueError(f"line {lineno}: m must be >= 1")
             continue
-        saw_content = True
-        if line == "-":
-            masks.append(0)
-            continue
-        pieces = line.split(",")
-        try:
-            mask = sum(map(_ELEMENT_BITS.__getitem__, pieces))
-            # a repeated element carries in the sum and loses a bit
-            distinct, top = mask.bit_count() == len(pieces), mask.bit_length()
-        except KeyError:
-            elems = _set_elements(lineno, pieces)
-            distinct, top = len(set(elems)) == len(elems), max(elems)
-            mask = 0
-            deferred.append((len(masks), elems))
-        if not distinct:
-            raise ValueError(f"line {lineno}: duplicate element within set")
-        if m is not None and top > m and too_big is None:
-            too_big = top
-        largest = max(largest, top)
-        masks.append(mask)
-    if not masks:
+        sets.append(_set_elements(lineno, line))
+    if not sets:
         raise ValueError("family file contains no sets")
+    tops = [max(elems, default=0) for elems in sets]
     if m is None:
-        if largest == 0:
+        if not any(tops):
             raise ValueError("cannot infer m from a family of only empty sets; add an m= header")
-        m = largest
-    if too_big is not None:
-        raise ValueError(f"element {too_big} exceeds m={m}")
-    # before the deferred masks, which take m bits each
-    if m > MAX_M_REAL:
-        raise ValueError(f"m={m} out of range [1, {MAX_M_REAL}]")
-    for i, elems in deferred:
-        masks[i] = sum(1 << (e - 1) for e in elems)
+        m = max(tops)
+    for top in tops:
+        if top > m:
+            raise ValueError(f"element {top} exceeds m={m}")
+    check_m(m)
+    masks = [sum(1 << (e - 1) for e in elems) for elems in sets]
     members = sorted(set(masks))
     if len(members) != len(masks):
         raise ValueError("duplicate sets in family file")
@@ -213,12 +185,10 @@ def parse_functions(text: str) -> list[CubeFunction]:
     tokens = " ".join(lines).split()
     if len(tokens) < 2 or not tokens[0].startswith("m=") or not tokens[1].startswith("count="):
         raise ValueError('function file must start with a "m=<int> count=<n>" header')
-    m = int(tokens[0][2:])
-    n = int(tokens[1][6:])
-    if m < 1 or n < 1:
-        raise ValueError("need m >= 1 and count >= 1")
-    if m > MAX_M_REAL:  # before n << m, which a huge m overflows
-        raise ValueError(f"m={m} out of range [1, {MAX_M_REAL}]")
+    m, n = int(tokens[0][2:]), int(tokens[1][6:])
+    check_m(m)  # before n << m, which a huge m overflows
+    if n < 1:
+        raise ValueError(f"need count >= 1, got {n}")
     values = [float(tok) for tok in tokens[2:]]
     bad = [tok for tok, value in zip(tokens[2:], values) if not math.isfinite(value)]
     if bad:  # nan, inf or an overflow like 1e400: the JSON output could not say it
@@ -299,16 +269,8 @@ def _cmd_verify(args) -> int:
             }
         )
         return EXIT_OK if ok else EXIT_VIOLATION
-    config = verifier.TrialConfig(
-        n=args.n,
-        m=args.m,
-        trials=args.trials,
-        seed=args.seed,
-        distribution=args.distribution,
-        density=args.density,
-        signed=args.signed,
-    )
-    report = verifier.run_trials(config)
+    fields = dataclasses.fields(verifier.TrialConfig)  # each one has the option of its name
+    report = verifier.run_trials(verifier.TrialConfig(**{f.name: getattr(args, f.name) for f in fields}))
     report["mode"] = "trials"
     _emit(report)
     return EXIT_OK if report["failures"] == 0 else EXIT_VIOLATION

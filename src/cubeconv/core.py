@@ -16,14 +16,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Dense tables: real flavor capped at m <= 24 (128 MB of float64),
-# exact-integer flavor at m <= 22 (the largest layered-family ground
-# sets the counting experiments need).
-MAX_M_REAL = 24
-MAX_M_INT = 22
+# The size rule, for every flavor and reader: ground sets of at most MAX_M
+# elements, and rank tables (ranks x 2^m masks x batch, 8 B a value) of at
+# most RANK_TABLE_BUDGET bytes, a full-support float64 table at m = 23 (24
+# x 2^23 x 8 B = 1.5 GiB): all of m <= 23 fits, the fold's three tables stay
+# near 4.5 GiB, and a full-support table at m = 24 (3.1 GiB) is refused.
+MAX_M = 24
+RANK_TABLE_BUDGET = 24 * 8 << 23
+# p_n's expanded form loses about log2(n) bits to cancellation; exponent(n)
+# is refused when it is further than this from the cancellation-free form.
+# It is a thousandth of the verifier's REL_TOL, and every n < 1000 passes.
+P_REL_TOL = 1e-12
 
 REAL = "real"
 INT = "int"
+
+
+def check_m(m: int) -> None:
+    """Refuse a ground set of m elements outside [1, MAX_M]."""
+    if not 1 <= m <= MAX_M:
+        raise ValueError(f"m={m} out of range [1, {MAX_M}]")
 
 
 def popcounts(m: int) -> np.ndarray:
@@ -50,9 +62,7 @@ class CubeFunction:
     flavor: str = REAL
 
     def __post_init__(self):
-        cap = MAX_M_INT if self.flavor == INT else MAX_M_REAL
-        if not 1 <= self.m <= cap:
-            raise ValueError(f"m={self.m} out of range [1, {cap}] for flavor {self.flavor!r}")
+        check_m(self.m)
         if self.flavor not in (REAL, INT):
             raise ValueError(f"unknown flavor {self.flavor!r}")
         if self.flavor == REAL:
@@ -96,8 +106,7 @@ class SetFamily:
     members: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
-        if not 1 <= self.m <= MAX_M_REAL:
-            raise ValueError(f"m={self.m} out of range [1, {MAX_M_REAL}]")
+        check_m(self.m)
         mem = tuple(self.members)
         masks = np.array(mem, dtype=None if mem else np.int64)
         if masks.dtype.kind not in "biu":  # ints past 64 bits come as objects
@@ -118,6 +127,25 @@ class SetFamily:
         return len(self.members)
 
 
+def fit_rank_table(ranks: int, m: int, batch: int = 1) -> int:
+    """The most batch entries that a rank table of `ranks` rows over 2^m
+    masks fits in RANK_TABLE_BUDGET; raises ValueError, naming the bytes,
+    before a table that cannot hold `batch` is made."""
+    need = ranks * batch * 8 << m
+    if need > RANK_TABLE_BUDGET:
+        raise ValueError(
+            f"a rank table of {ranks} ranks x 2^{m} masks x {batch} needs {need} bytes, "
+            f"over the rank-table budget of {RANK_TABLE_BUDGET} bytes"
+        )
+    return RANK_TABLE_BUDGET // max(ranks * 8 << m, 1)
+
+
+def _check_p(n: int, p: float) -> None:
+    """p must be in (1, 2] and within P_REL_TOL of 1 + (n-1) log1p(1/(n-1)) / ln n."""
+    if not 1.0 < p <= 2.0 or abs(p - 1.0 - (n - 1) * math.log1p(1 / (n - 1)) / math.log(n)) > P_REL_TOL * p:
+        raise ValueError(f"p={p} for n={n} is outside (1, 2] or off p_n by more than {P_REL_TOL} relative")
+
+
 @dataclass(frozen=True)
 class HoelderParams:
     """The sharp exponent p_n and its companions r = p-1, c = n/p."""
@@ -128,25 +156,24 @@ class HoelderParams:
     c: float
 
     def __post_init__(self):
-        # self-consistency with the defining logarithm identity
-        lhs = self.p * math.log(self.n)
-        rhs = self.n * math.log(self.n) - (self.n - 1) * math.log(self.n - 1)
-        if abs(lhs - rhs) > 1e-13 * abs(rhs):
-            raise ValueError(f"inconsistent HoelderParams for n={self.n}")
-        if not 1.0 < self.p <= 2.0:
-            raise ValueError(f"p={self.p} outside (1, 2]")
+        _check_p(self.n, self.p)
 
 
 def exponent(n: int) -> HoelderParams:
     """Sharp exponent p_n = [n ln n - (n-1) ln(n-1)] / ln n for n >= 2.
 
     Uses the expanded logarithm form: n^n overflows floats long before
-    n=64, the expanded form never does.
+    n=64, the expanded form never does.  Its difference cancels as n grows
+    (to 0 at n = 10^16), so p is checked (_check_p) before c = n/p.
     """
     if n < 2:
         raise ValueError(f"exponent requires n >= 2, got {n} (n=1 has a 0/0 exponent)")
     ln_n = math.log(n)
-    p = (n * ln_n - (n - 1) * math.log(n - 1)) / ln_n
+    try:
+        p = (n * ln_n - (n - 1) * math.log(n - 1)) / ln_n
+    except OverflowError:  # n itself is beyond float64
+        p = math.nan
+    _check_p(n, p)
     return HoelderParams(n=n, p=p, r=p - 1.0, c=n / p)
 
 

@@ -9,13 +9,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_M_INT, SetFamily, exponent, family_to_functions, popcounts
+from .core import MAX_M, SetFamily, exponent, family_to_functions, popcounts
 from .transform import corner_convolution
 
 BRUTE_TUPLE_CAP = 10**8
 BOUND_SLACK = 1e-9
-# Extremal families are counted on integer cube functions.
-EXTREMAL_M_CAP = MAX_M_INT
 
 
 @dataclass(frozen=True)
@@ -104,8 +102,8 @@ def extremal_family(n: int, t: int) -> SetFamily:
     if t < 1:
         raise ValueError(f"need t >= 1, got {t}")
     m = n * t
-    if m > EXTREMAL_M_CAP:
-        raise ValueError(f"ground size n*t = {m} exceeds cap {EXTREMAL_M_CAP}")
+    if m > MAX_M:
+        raise ValueError(f"ground size n*t = {m} exceeds cap {MAX_M}")
     pc = popcounts(m)
     masks = np.flatnonzero((pc == t) | (pc == (n - 1) * t))
     return SetFamily(m, tuple(masks.tolist()))

@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .core import REAL, CubeFunction, popcounts
+from .core import REAL, CubeFunction, fit_rank_table, popcounts
 
 # Brute-force corner enumeration walks n^m labeled coordinate assignments.
 BRUTE_TERM_CAP = 10**8
@@ -172,6 +172,7 @@ def _batch_ranked_zeta(a: np.ndarray, m: int, dtype=np.float64, mod=None, ranks=
     `a`) and the per-rank zeta tables of those ranks, mask-major with
     shape (len(ranks), 2^m, ...).  A 1-D `a` gives (len(ranks), 2^m)."""
     ranks = _rank_support(a, m) if ranks is None else ranks
+    fit_rank_table(len(ranks), m, math.prod(a.shape[:-1]))
     rows, masks = _rank_slots(ranks, m)
     out = np.zeros((len(ranks), 1 << m) + a.shape[:-1], dtype=dtype)
     out[rows, masks] = np.moveaxis(a, -1, 0)[masks]  # the gather transposes
@@ -201,8 +202,9 @@ def _batch_rank_mult(a, b, m: int, dtype=np.float64, mod=None, keep=None):
     ranks = sorted({i + j for i in ranks_a for j in ranks_b} & keep)
     pairs = [[(ia, slot_b[k - i]) for ia, i in enumerate(ranks_a) if k - i in slot_b] for k in ranks]
     floors = [[max(floors_a[ia], floors_b[ib]) for ia, ib in terms] for terms in pairs]
-    out = np.zeros((len(ranks),) + table_a.shape[1:], dtype=dtype)
     trials = math.prod(table_a.shape[2:])
+    fit_rank_table(len(ranks), m, trials)
+    out = np.zeros((len(ranks),) + table_a.shape[1:], dtype=dtype)
     c = min(m, (_BLOCK // max(trials, 1) or 1).bit_length() - 1)
     # (rows, positions) views, sized explicitly: a table may have no rows
     flat_a, flat_b, flat_out = (t.reshape(len(t), trials << m) for t in (table_a, table_b, out))

@@ -14,7 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_M_REAL, REAL, CubeFunction, HoelderParams, exponent, lp_norm, lp_norms
+from .core import (
+    REAL,
+    CubeFunction,
+    HoelderParams,
+    check_m,
+    exponent,
+    fit_rank_table,
+    lp_norm,
+    lp_norms,
+    popcounts,
+)
 from .transform import batch_corner_value, corner_convolution
 
 # Both sides of a check can be ~0, so pass/fail combines a relative and
@@ -74,10 +84,11 @@ class TrialConfig:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"need n >= 2, got {self.n}")
-        if not 1 <= self.m <= 12:
-            raise ValueError(f"verification runs need 1 <= m <= 12, got {self.m}")
+        check_m(self.m)
         if self.trials < 1:
             raise ValueError(f"need trials >= 1, got {self.trials}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2^64), got {self.seed}")
         if self.distribution not in DISTRIBUTIONS:
             raise ValueError(f"unknown distribution {self.distribution!r}")
         if not 0.0 < self.density <= 1.0:
@@ -165,13 +176,11 @@ def equality_witness(n: int, m: int) -> list[CubeFunction]:
     coordinate is evaluated at 1, so the small value must sit at g(1)
     for the per-coordinate value ratio to hit the tight configuration.
     """
-    if n < 2 or m < 1:
-        raise ValueError("need n >= 2 and m >= 1")
-    if m > MAX_M_REAL:  # before the 2^m values are built
-        raise ValueError(f"m={m} out of range [1, {MAX_M_REAL}] for flavor {REAL!r}")
-    w = (1.0 / (n - 1)) ** (1.0 / exponent(n).p)
-    vals = [w ** s.bit_count() for s in range(1 << m)]
-    return [CubeFunction(m, vals, REAL)] * n
+    check_m(m)  # before the 2^m values are built
+    p = exponent(n).p  # which refuses n < 2
+    w = (1.0 / (n - 1)) ** (1.0 / p)
+    powers = np.array([w**k for k in range(m + 1)])  # w^|S| depends on |S| alone
+    return [CubeFunction(m, powers[popcounts(m)], REAL)] * n
 
 
 def _draw_functions(config: TrialConfig, trial_indices: np.ndarray) -> np.ndarray:
@@ -200,8 +209,10 @@ def _draw_functions(config: TrialConfig, trial_indices: np.ndarray) -> np.ndarra
 
 def run_trials(config: TrialConfig, chunk: int = 1024) -> dict:
     """Monte-Carlo sweep of the main inequality; returns a report dict
-    with failure count and the largest lhs/rhs ratio observed."""
+    with failure count and the largest lhs/rhs ratio observed.  A chunk
+    holds no more trials than fit_rank_table allows at m+1 ranks."""
     p = exponent(config.n).p
+    chunk = min(chunk, fit_rank_table(config.m + 1, config.m))
     failures = 0
     max_ratio = float("-inf")
     for start in range(0, config.trials, chunk):

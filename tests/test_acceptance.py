@@ -10,7 +10,7 @@ from math import comb
 import pytest
 
 from cubeconv import cli
-from cubeconv.core import INT, CubeFunction, SetFamily, exponent
+from cubeconv.core import INT, MAX_M, CubeFunction, SetFamily, exponent
 from cubeconv.counting import bound_report, count_disjoint_tuples, extremal_family
 from cubeconv.lemma_lab import (
     k_monotonicity_check,
@@ -94,22 +94,28 @@ def test_criterion_5_corollary_bound_and_extremal_trend():
         rep = bound_report(fam, rng.choice([2, 3, 4]))
         assert rep.log_count <= rep.bound_log + 1e-9
 
-    ratios = []
+    ratios = {3: [], 4: []}
     for n in (3, 4):
         t = 1
-        while n * t <= 21:
+        while n * t <= MAX_M:
             fam = extremal_family(n, t)
             rep = bound_report(fam, n)
             assert rep.log_count <= rep.bound_log + 1e-9, (n, t)
-            if n == 3:
-                # closed-form oracle, independent of the counting pipeline
-                assert rep.count == comb(3 * t, t) * comb(2 * t, t)
-                assert rep.family_size == 2 * comb(3 * t, t)
-                ratios.append(rep.ratio)
+            # closed-form oracle, independent of the counting pipeline: the
+            # (n-1)t-element union, split into n-1 ordered t-blocks
+            k = (n - 1) * t
+            assert rep.count == comb(n * t, k) * math.factorial(k) // math.factorial(t) ** (n - 1), (n, t)
+            assert rep.family_size == comb(n * t, t) + comb(n * t, k), (n, t)
+            ratios[n].append(rep.ratio)
             t += 1
-    increasing = all(a < b for a, b in zip(ratios, ratios[1:]))
-    ok = increasing and ratios[-1] >= 1.59
-    report(5, ok, f"bound holds everywhere; n=3 ratios strictly increasing to {ratios[-1]:.4f} at t=7")
+    increasing = all(a < b for r in ratios.values() for a, b in zip(r, r[1:]))
+    ok = increasing and len(ratios[3]) == 8 and len(ratios[4]) == 6 and ratios[3][-1] >= 1.60
+    report(
+        5,
+        ok,
+        f"bound holds everywhere; ratios strictly increasing to {ratios[3][-1]:.4f} (n=3, t=8) "
+        f"and {ratios[4][-1]:.4f} (n=4, t=6)",
+    )
 
 
 def test_criterion_6_transform_correctness():

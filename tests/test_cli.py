@@ -129,6 +129,14 @@ class TestExponentCommand:
         assert code == 0
         assert out["p"] == 2.0
 
+    @pytest.mark.parametrize("n", [10**15, 10**16, 10**400])
+    def test_n_whose_p_cancels_exits_2(self, capsys, n):
+        # n ln n - (n-1) ln(n-1) cancels: to p = 1.04231 (not 1.02895) at
+        # 10^15 and to p = 0 at 10^16; 10^400 is beyond float64
+        code, out, err = run_cli(capsys, "exponent", "--n", str(n))
+        assert (code, out) == (2, None)
+        assert err.startswith("error: p=")
+
     def test_n1_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "exponent", "--n", "1")
         assert code == 2
@@ -240,6 +248,24 @@ class TestVerifyCommand:
         assert "m=25 out of range [1, 24]" in err
         assert peak < 2**24  # 2^25 boxed floats alone take over 1 GB
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_out_of_range_seed_exits_2(self, capsys, seed):
+        code, out, err = run_cli(capsys, "verify", "--seed", str(seed), "--trials", "2")
+        assert (code, out) == (2, None)
+        assert f"seed must be in [0, 2^64), got {seed}" in err
+
+    def test_largest_seed_runs(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--seed", str(2**64 - 1), "--trials", "2")
+        assert code == 0
+        assert out["seed"] == 2**64 - 1
+
+    def test_m13_runs_and_repeats(self, capsys):
+        argv = ["verify", "--m", "13", "--trials", "8"]
+        assert cli.main(argv) == 0
+        first = capsys.readouterr().out
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == first
+
     def test_small_run_passes(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--n", "3", "--m", "4", "--trials", "200", "--seed", "42"
@@ -312,12 +338,12 @@ class TestExtremalCommand:
         code, _, _ = run_cli(capsys, "extremal", "--n", "3", "--t", "9")
         assert code == 2
 
-    def test_cap_matches_integer_cap(self, capsys):
-        # m = 24 passes the real-flavor cap but not the integer one
-        code, out, err = run_cli(capsys, "extremal", "--n", "3", "--t", "8")
+    def test_cap_is_max_m(self, capsys):
+        # one cap for every flavor: m = 25 is the first ground size refused
+        code, out, err = run_cli(capsys, "extremal", "--n", "5", "--t", "5")
         assert code == 2
         assert out is None
-        assert "ground size n*t = 24 exceeds cap 22" in err
+        assert "ground size n*t = 25 exceeds cap 24" in err
 
 
 class TestLemmaCommand:

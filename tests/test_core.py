@@ -3,7 +3,18 @@ import math
 import pytest
 
 import cubeconv
-from cubeconv.core import INT, CubeFunction, SetFamily, exponent, family_to_functions, lp_norm
+from cubeconv import core
+from cubeconv.core import (
+    INT,
+    REAL,
+    CubeFunction,
+    HoelderParams,
+    SetFamily,
+    exponent,
+    family_to_functions,
+    fit_rank_table,
+    lp_norm,
+)
 
 
 class TestExponent:
@@ -34,6 +45,24 @@ class TestExponent:
             lhs = exponent(n).p * math.log(n)
             rhs = n * math.log(n) - (n - 1) * math.log(n - 1)
             assert abs(lhs - rhs) <= 1e-13 * rhs
+
+    def test_p_keeps_the_expanded_form_bits(self):
+        for n in range(2, 1000):
+            ln_n = math.log(n)
+            assert exponent(n).p == (n * ln_n - (n - 1) * math.log(n - 1)) / ln_n
+
+    def test_p_is_checked_against_the_cancellation_free_form(self):
+        for n in (2, 3, 64, 999):
+            free = 1.0 + (n - 1) * math.log1p(1 / (n - 1)) / math.log(n)
+            assert abs(exponent(n).p - free) <= core.P_REL_TOL * free
+        with pytest.raises(ValueError, match="off p_n"):
+            HoelderParams(n=3, p=1.5, r=0.5, c=2.0)
+
+    @pytest.mark.parametrize("n", [10**7, 10**15, 10**16, 10**400])
+    def test_cancelling_n_is_refused_before_c(self, n):
+        # at 10^16 the expanded form gives p = 0 exactly, and c = n/p would divide by it
+        with pytest.raises(ValueError, match=f"for n={n} "):
+            exponent(n)
 
     def test_derived_fields(self):
         params = exponent(7)
@@ -78,9 +107,12 @@ class TestCubeFunction:
         with pytest.raises(ValueError):
             CubeFunction(1, [1, 0], "complex")
 
-    def test_int_cap(self):
-        with pytest.raises(ValueError):
-            CubeFunction(23, [0] * (1 << 23), INT)
+    @pytest.mark.parametrize("flavor", [REAL, INT])
+    def test_one_cap_for_both_flavors(self, flavor):
+        with pytest.raises(ValueError, match=r"^m=25 out of range \[1, 24\]$"):
+            CubeFunction(25, [0], flavor)
+        with pytest.raises(ValueError, match="need exactly 16777216 values"):  # m=24 passes the cap
+            CubeFunction(24, [0], flavor)
 
 
 class TestSetFamily:
@@ -164,3 +196,20 @@ class TestPackage:
             assert not hasattr(CubeFunction, attr)
         for attr in ("__contains__", "indicator"):
             assert not hasattr(SetFamily, attr)
+
+
+class TestFitRankTable:
+    def test_budget_is_a_full_support_float64_table_at_m23(self):
+        assert core.RANK_TABLE_BUDGET == 24 * 2**23 * 8 == 1.5 * 2**30
+        assert fit_rank_table(24, 23) == 1
+        assert fit_rank_table(13, 12) == 3780  # verify keeps chunk 1024 at m <= 12
+
+    def test_over_budget_names_the_bytes(self):
+        message = f"needs {25 * 2**24 * 8} bytes, over the rank-table budget of {1.5 * 2**30:.0f} bytes"
+        with pytest.raises(ValueError, match=message):
+            fit_rank_table(25, 24)  # a full-support table at m=24
+        with pytest.raises(ValueError, match=r"^a rank table of 24 ranks x 2\^23 masks x 2 needs"):
+            fit_rank_table(24, 23, batch=2)
+
+    def test_a_table_with_no_rows_fits(self):
+        assert fit_rank_table(0, 24, batch=10**6) == core.RANK_TABLE_BUDGET

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubeconv import cli, counting
-from cubeconv.core import MAX_M_REAL, SetFamily
+from cubeconv.core import MAX_M, SetFamily
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -33,7 +33,7 @@ def assert_same(text):
 def canonical_files(draw):
     """A file as serialize_family writes it, elements in any order, with or
     without the header and the final newline."""
-    m = draw(st.integers(1, MAX_M_REAL))
+    m = draw(st.integers(1, MAX_M))
     sets = draw(
         st.lists(
             st.lists(st.integers(1, m), unique=True, max_size=m).map(lambda s: ",".join(map(str, s)) or "-"),
@@ -146,7 +146,7 @@ def serialize_by_loop(family):
 
 @st.composite
 def families(draw):
-    m = draw(st.integers(1, MAX_M_REAL))
+    m = draw(st.integers(1, MAX_M))
     masks = draw(st.lists(st.integers(0, (1 << m) - 1), max_size=40))
     return SetFamily.from_masks(m, masks + draw(st.sampled_from([[], [0], [(1 << m) - 1]])))
 
@@ -160,7 +160,7 @@ class TestWriter:
         if len(family):  # a file without sets is an error
             assert cli.parse_family(text) == family
 
-    @pytest.mark.parametrize("m", [1, 9, 10, MAX_M_REAL])
+    @pytest.mark.parametrize("m", [1, 9, 10, MAX_M])
     def test_edge_families(self, m):
         for masks in ([], [0], [(1 << m) - 1], [0, 1 << (m - 1)]):
             family = SetFamily.from_masks(m, masks)

@@ -1,6 +1,7 @@
-"""Malformed input through cli.main: family files for `count` and
-function files for `verify --functions`.  Any input exits 0, 1 or 2,
-never with a traceback, and a report on stdout is strict JSON."""
+"""Malformed input through cli.main: family files for `count`, function
+files for `verify --functions`, and the integer options of `exponent`,
+`verify` and `extremal`.  Any input exits 0, 1 or 2, never with a
+traceback, and a report on stdout is strict JSON."""
 
 import contextlib
 import io
@@ -27,10 +28,14 @@ def reject_constant(name):
 
 def run(path, text, argv):
     path.write_text(text, encoding="utf-8")
+    run_argv(argv + [str(path)])
+
+
+def run_argv(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy RuntimeWarning would reach stderr
-        code = cli.main(argv + [str(path)])
+        code = cli.main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     if code == 2:
@@ -73,3 +78,39 @@ def test_count_fuzz(path, text):
 @given(function_text())
 def test_verify_functions_fuzz(path, text):
     run(path, text, ["verify", "--functions"])
+
+
+# Integer options, drawn so that no run is large: ground sets of at most 8
+# elements (or past the cap of 24), products n*t of at most 12 (or past 24),
+# and n either small or large enough that p_n cancels.
+HUGE = 2**70
+exponent_n = st.one_of(
+    st.integers(-3, 2000), st.integers(10**12, HUGE), st.sampled_from([10**15, 10**16, 2**64, 10**400])
+)
+verify_n = st.one_of(st.integers(-2, 5), st.integers(10**16, HUGE))
+verify_m = st.one_of(st.integers(-2, 8), st.integers(25, HUGE))
+seed = st.one_of(
+    st.integers(0, 2**64 - 1), st.integers(-HUGE, HUGE), st.sampled_from([-1, 2**64 - 1, 2**64])
+)
+extremal_nt = st.one_of(
+    st.tuples(st.integers(-2, 13), st.integers(-2, 13)),
+    st.tuples(st.integers(-HUGE, HUGE), st.integers(-HUGE, HUGE)),
+).filter(lambda nt: nt[0] * nt[1] <= 12 or nt[0] * nt[1] > 24)
+
+
+@SETTINGS
+@given(exponent_n)
+def test_exponent_argv_fuzz(n):
+    run_argv(["exponent", "--n", str(n)])
+
+
+@SETTINGS
+@given(seed, verify_n, verify_m)
+def test_verify_argv_fuzz(seed, n, m):
+    run_argv(["verify", "--seed", str(seed), "--n", str(n), "--m", str(m), "--trials", "1"])
+
+
+@SETTINGS
+@given(extremal_nt)
+def test_extremal_argv_fuzz(nt):
+    run_argv(["extremal", "--n", str(nt[0]), "--t", str(nt[1])])

@@ -1,12 +1,16 @@
+import contextlib
+import io
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cubeconv import transform
-from cubeconv.core import INT, REAL, CubeFunction
+from cubeconv import cli, core, transform, verifier
+from cubeconv.core import INT, REAL, CubeFunction, SetFamily
+from cubeconv.counting import count_disjoint_tuples
 from cubeconv.transform import (
     _BLOCK,
     _batch_rank_mult,
@@ -18,6 +22,7 @@ from cubeconv.transform import (
     subset_convolve,
     zeta,
 )
+from cubeconv.verifier import TrialConfig, run_trials
 
 
 def submasks(s):
@@ -663,3 +668,64 @@ class TestKernelBoundaries:
         ranks, table, _ = _batch_rank_mult(tb, tb, m, keep=[m])  # ranks 2 only, 5 wanted
         assert ranks == [] and table.shape == (0, 1 << m) + batch
         assert np.array_equal(batch_corner_value(np.stack([b, b]), m), np.zeros(batch))
+
+
+class TestRankTableBudget:
+    """With core.RANK_TABLE_BUDGET set just below a table the kernel needs,
+    every entry point refuses that table before it is allocated."""
+
+    @staticmethod
+    def refused_peak(monkeypatch, budget, call) -> int:
+        """The tracemalloc peak of call(), which must refuse over `budget`."""
+        monkeypatch.setattr(core, "RANK_TABLE_BUDGET", budget)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"over the rank-table budget of {budget} bytes"):
+                call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("flavor", [REAL, INT])
+    def test_subset_convolve(self, monkeypatch, flavor):
+        m, rng = 10, random.Random(3)
+        f, g = (CubeFunction(m, [rng.randint(1, 9) for _ in range(1 << m)], flavor) for _ in range(2))
+        table = (m + 1) * 8 << m  # every rank is live
+        assert self.refused_peak(monkeypatch, table - 1, lambda: subset_convolve(f, g)) < table
+
+    def test_count(self, monkeypatch):
+        m = 12
+        family = SetFamily.from_masks(m, range(1 << m))
+        table = (m + 1) * 8 << m  # n=3 needs every rank
+        assert self.refused_peak(monkeypatch, table - 1, lambda: count_disjoint_tuples(family, 3)) < table
+
+    def test_run_trials_refuses_before_drawing(self, monkeypatch):
+        config = TrialConfig(n=3, m=10, trials=4, seed=5)
+        table = (config.m + 1) * 8 << config.m  # one trial
+        assert self.refused_peak(monkeypatch, table - 1, lambda: run_trials(config)) < table
+
+    def test_run_trials_chunks_to_the_budget(self, monkeypatch):
+        config = TrialConfig(n=4, m=6, trials=40, seed=8, distribution="sparse", signed=True)
+        whole = run_trials(config)
+        batches = []
+
+        def spy(fs, m):
+            batches.append(fs.shape[1])
+            return batch_corner_value(fs, m)
+
+        monkeypatch.setattr(verifier, "batch_corner_value", spy)
+        monkeypatch.setattr(core, "RANK_TABLE_BUDGET", 3 * (config.m + 1) * 8 << config.m)
+        assert run_trials(config) == whole
+        assert batches == [3] * 13 + [1]
+
+    def test_witness_exits_2(self, monkeypatch):
+        monkeypatch.setattr(core, "RANK_TABLE_BUDGET", 2**20)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["verify", "--witness", "--n", "5", "--m", "16"])
+        assert (code, out.getvalue()) == (2, "")
+        need = 17 * 8 << 16
+        assert err.getvalue() == (
+            f"error: a rank table of 17 ranks x 2^16 masks x 1 needs {need} bytes, "
+            f"over the rank-table budget of {2**20} bytes\n"
+        )

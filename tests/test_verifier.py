@@ -174,6 +174,17 @@ class TestEqualityWitness:
         (f, _) = equality_witness(2, 3)
         assert all(v == 1.0 for v in f.values)
 
+    def test_values_are_w_to_the_set_size(self):
+        for n, m in [(3, 7), (5, 4)]:
+            f = equality_witness(n, m)[0]
+            w = (1.0 / (n - 1)) ** (1.0 / exponent(n).p)
+            assert f.values == tuple(w ** s.bit_count() for s in range(1 << m))
+
+    @pytest.mark.parametrize("n, m", [(1, 3), (0, 3), (3, 0), (3, 25)])
+    def test_bad_sizes_are_value_errors(self, n, m):
+        with pytest.raises(ValueError):
+            equality_witness(n, m)
+
 
 U64 = 2**64 - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -308,7 +319,12 @@ class TestTrials:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrialConfig(n=3, m=4, trials=0, seed=1)
-        with pytest.raises(ValueError):
-            TrialConfig(n=3, m=13, trials=1, seed=1)
+        with pytest.raises(ValueError, match=r"^m=25 out of range \[1, 24\]$"):
+            TrialConfig(n=3, m=25, trials=1, seed=1)
+        assert TrialConfig(n=3, m=24, trials=1, seed=1).m == 24  # the budget decides, in run_trials
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match=r"seed must be in \[0, 2\^64\)"):
+                TrialConfig(n=3, m=4, trials=1, seed=seed)
+        assert run_trials(TrialConfig(n=3, m=4, trials=2, seed=2**64 - 1))["failures"] == 0
         with pytest.raises(ValueError):
             TrialConfig(n=3, m=4, trials=1, seed=1, distribution="cauchy")
