@@ -17,16 +17,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # The size rule, for every flavor and reader: ground sets of at most MAX_M
-# elements, and rank tables (ranks x 2^m masks x batch, 8 B a value) of at
-# most RANK_TABLE_BUDGET bytes, a full-support float64 table at m = 23 (24
-# x 2^23 x 8 B = 1.5 GiB): all of m <= 23 fits, the fold's three tables stay
-# near 4.5 GiB, and a full-support table at m = 24 (3.1 GiB) is refused.
+# elements, and rank tables (ranks x 2^m masks x batch, 8 B a value) and
+# the verifier's draws of at most RANK_TABLE_BUDGET bytes each, a
+# full-support float64 table at m = 23 (24 x 2^23 x 8 B = 1.5 GiB): all of
+# m <= 23 fits, the fold's three tables stay near 4.5 GiB, and a
+# full-support table at m = 24 (3.1 GiB) is refused.
 MAX_M = 24
 RANK_TABLE_BUDGET = 24 * 8 << 23
 # p_n's expanded form loses about log2(n) bits to cancellation; exponent(n)
 # is refused when it is further than this from the cancellation-free form.
-# It is a thousandth of the verifier's REL_TOL, and every n < 1000 passes.
+# It is a thousandth of the verifier's REL_TOL.
 P_REL_TOL = 1e-12
+# Every n <= 4008 is within P_REL_TOL and n = 4009 is not; past it, passing
+# and failing n interleave.  So exponent(n) admits one interval, 2..MAX_N.
+MAX_N = 4000
 
 REAL = "real"
 INT = "int"
@@ -127,17 +131,19 @@ class SetFamily:
         return len(self.members)
 
 
-def fit_rank_table(ranks: int, m: int, batch: int = 1) -> int:
-    """The most batch entries that a rank table of `ranks` rows over 2^m
-    masks fits in RANK_TABLE_BUDGET; raises ValueError, naming the bytes,
-    before a table that cannot hold `batch` is made."""
-    need = ranks * batch * 8 << m
+def fit_budget(what: str, entry: int, batch: int = 1) -> int:
+    """The most entries of `entry` bytes that fit in RANK_TABLE_BUDGET;
+    raises ValueError, naming `what` and its bytes, before an allocation
+    that cannot hold `batch` of them is made."""
+    need = entry * batch
     if need > RANK_TABLE_BUDGET:
-        raise ValueError(
-            f"a rank table of {ranks} ranks x 2^{m} masks x {batch} needs {need} bytes, "
-            f"over the rank-table budget of {RANK_TABLE_BUDGET} bytes"
-        )
-    return RANK_TABLE_BUDGET // max(ranks * 8 << m, 1)
+        raise ValueError(f"{what} needs {need} bytes, over the rank-table budget of {RANK_TABLE_BUDGET} bytes")
+    return RANK_TABLE_BUDGET // max(entry, 1)
+
+
+def fit_rank_table(ranks: int, m: int, batch: int = 1) -> int:
+    """fit_budget for a rank table of `ranks` rows over 2^m masks."""
+    return fit_budget(f"a rank table of {ranks} ranks x 2^{m} masks x {batch}", ranks * 8 << m, batch)
 
 
 def _check_p(n: int, p: float) -> None:
@@ -164,15 +170,13 @@ def exponent(n: int) -> HoelderParams:
 
     Uses the expanded logarithm form: n^n overflows floats long before
     n=64, the expanded form never does.  Its difference cancels as n grows
-    (to 0 at n = 10^16), so p is checked (_check_p) before c = n/p.
+    (to 0 at n = 10^16), so n is capped at MAX_N and p is checked
+    (_check_p) before c = n/p.
     """
-    if n < 2:
-        raise ValueError(f"exponent requires n >= 2, got {n} (n=1 has a 0/0 exponent)")
+    if not 2 <= n <= MAX_N:
+        raise ValueError(f"exponent requires 2 <= n <= {MAX_N} (n=1 has a 0/0 exponent), got {n}")
     ln_n = math.log(n)
-    try:
-        p = (n * ln_n - (n - 1) * math.log(n - 1)) / ln_n
-    except OverflowError:  # n itself is beyond float64
-        p = math.nan
+    p = (n * ln_n - (n - 1) * math.log(n - 1)) / ln_n
     _check_p(n, p)
     return HoelderParams(n=n, p=p, r=p - 1.0, c=n / p)
 

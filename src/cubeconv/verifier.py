@@ -9,7 +9,11 @@ produce identical values.
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
+import queue
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +24,7 @@ from .core import (
     HoelderParams,
     check_m,
     exponent,
+    fit_budget,
     fit_rank_table,
     lp_norm,
     lp_norms,
@@ -37,6 +42,12 @@ DISTRIBUTIONS = ("uniform", "exponential", "sparse")
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 # Draws per RNG slab: its uint64 state and scratch (256 KB each) stay in L2.
 _SLAB = 1 << 15
+# A chunk is split across CPUs only into pieces of at least this many drawn
+# values (trials x n x 2^m).  On a 2-core host, halving a smaller chunk (a
+# few ms of work) saved at most a quarter of it while the second core was
+# free and cost up to a tenth while it was busy; halving the n=5, m=8 chunk
+# saves about a third.  At 1024 trials and n <= 5, every m <= 6 is serial.
+_MIN_PIECE = 1 << 18
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
@@ -203,24 +214,107 @@ def _draw_functions(config: TrialConfig, trial_indices: np.ndarray) -> np.ndarra
         if config.distribution == "sparse":
             np.multiply(x, draw(1) < config.density, out=x)  # x >= 0, so x * False is +0.0
     if config.signed:  # x -> -x where the sign draw is >= 0.5: flip the sign bit
-        x.view(np.uint64)[...] ^= (draw(2) >= 0.5).astype(np.uint64) << np.uint64(63)
+        sign = (draw(2) >= 0.5).astype(np.uint64)
+        sign <<= np.uint64(63)
+        x.view(np.uint64)[...] ^= sign
     return np.moveaxis(x, 1, 0)
+
+
+def _fit_draws(config: TrialConfig) -> int:
+    """The most trials whose draws fit the size rule: n x 2^m float64
+    values, plus one transient plane as large for the sparse gate or the
+    sign.  Raises ValueError, naming the bytes, when one trial does not."""
+    planes = 1 + (config.distribution == "sparse" or config.signed)
+    what = f"a trial's draw of {planes} planes x {config.n} functions x 2^{config.m} values"
+    return fit_budget(what, planes * config.n * 8 << config.m)
+
+
+def _sides(config: TrialConfig, p: float, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """lhs and rhs of the trials idx: draw, corner and norms."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported by run_trials
+        fs = _draw_functions(config, idx)
+        lhs = batch_corner_value(fs, config.m)
+        # the product runs in f_1 .. f_n order, as in check_main_inequality
+        return lhs, np.prod(lp_norms(fs, p), axis=0)
+
+
+def _serve(calls: queue.SimpleQueue) -> None:
+    """A helper thread: it runs the calls put on its queue, one at a time."""
+    while True:
+        calls.get()()
+
+
+_helpers: list[queue.SimpleQueue] = []
+_helpers_lock = threading.Lock()
+_helpers_pid = os.getpid()
+
+
+def _helper_queues(k: int) -> list[queue.SimpleQueue]:
+    """The call queues of the first k helpers, started on first use.  A
+    helper lives as long as the process, so its allocations reuse one
+    malloc arena; a fresh thread for each chunk would open another."""
+    global _helpers, _helpers_lock, _helpers_pid
+    if _helpers_pid != os.getpid():
+        # A fork child inherits the list and the lock, not the threads.  (An
+        # os.register_at_fork hook would instead keep every imported copy
+        # of this module alive.)
+        _helpers, _helpers_lock, _helpers_pid = [], threading.Lock(), os.getpid()
+    with _helpers_lock:
+        while len(_helpers) < k:
+            _helpers.append(queue.SimpleQueue())
+            threading.Thread(target=_serve, args=(_helpers[-1],), name="cubeconv-helper", daemon=True).start()
+        return _helpers[:k]
+
+
+def _split_sides(config: TrialConfig, p: float, idx: np.ndarray, cpus: int):
+    """_sides of idx in pieces of at least _MIN_PIECE drawn values, at most
+    one a CPU, joined in trial order.  The calling thread and one helper
+    for each further piece claim pieces in turn until none is left, so the
+    caller also computes a piece whose helper has not started it (when the
+    host lends that helper's CPU elsewhere), and waits for a helper only
+    while a piece is unfinished."""
+    pieces = np.array_split(idx, max(1, min(cpus, (len(idx) * config.n << config.m) // _MIN_PIECE)))
+    sides: list = [None] * len(pieces)
+    claims = itertools.count()  # next() is atomic under the GIL
+    done = queue.SimpleQueue()  # each helper's exception, or None
+
+    def work():
+        try:
+            while (i := next(claims)) < len(pieces):
+                sides[i] = _sides(config, p, pieces[i])
+        except BaseException as exc:  # the caller raises it
+            return exc
+
+    for calls in _helper_queues(len(pieces) - 1):
+        calls.put(lambda: done.put(work()))
+    exc = work()
+    for _ in range(len(pieces) - 1):
+        if exc is not None or all(side is not None for side in sides):
+            break
+        exc = done.get()
+    if exc is not None:
+        raise exc
+    return (np.concatenate(side) for side in zip(*sides))
 
 
 def run_trials(config: TrialConfig, chunk: int = 1024) -> dict:
     """Monte-Carlo sweep of the main inequality; returns a report dict
     with failure count and the largest lhs/rhs ratio observed.  A chunk
-    holds no more trials than fit_rank_table allows at m+1 ranks."""
+    holds no more trials than the size rule allows for rank tables at m+1
+    ranks and for draws.  A trial's sides do not depend on its chunk or
+    piece, so the report does not depend on the CPU count."""
     p = exponent(config.n).p
-    chunk = min(chunk, fit_rank_table(config.m + 1, config.m))
+    chunk = min(chunk, fit_rank_table(config.m + 1, config.m), _fit_draws(config))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1  # not on macOS
     failures = 0
     max_ratio = float("-inf")
     for start in range(0, config.trials, chunk):
         idx = np.arange(start, min(start + chunk, config.trials))
-        fs = _draw_functions(config, idx)
-        lhs = batch_corner_value(fs, config.m)
-        # the product runs in f_1 .. f_n order, as in check_main_inequality
-        rhs = np.prod(lp_norms(fs, p), axis=0)
+        lhs, rhs = _split_sides(config, p, idx, cpus)
+        if not np.all(np.isfinite(lhs)):
+            raise ValueError("corner convolution overflows float64")
+        if not np.all(np.isfinite(rhs)):
+            raise ValueError("product of the norms overflows float64")
         failures += int(np.count_nonzero(~_passes(lhs, rhs)))
         pos = rhs > 0
         if np.any(pos):

@@ -8,7 +8,7 @@ import warnings
 import pytest
 
 from cubeconv import cli
-from cubeconv.core import REAL, CubeFunction, SetFamily
+from cubeconv.core import MAX_N, REAL, CubeFunction, SetFamily
 
 
 def run_cli(capsys, *argv):
@@ -132,10 +132,17 @@ class TestExponentCommand:
     @pytest.mark.parametrize("n", [10**15, 10**16, 10**400])
     def test_n_whose_p_cancels_exits_2(self, capsys, n):
         # n ln n - (n-1) ln(n-1) cancels: to p = 1.04231 (not 1.02895) at
-        # 10^15 and to p = 0 at 10^16; 10^400 is beyond float64
+        # 10^15 and to p = 0 at 10^16; 10^400 is beyond float64.  All are
+        # refused by the n bound before p is computed.
         code, out, err = run_cli(capsys, "exponent", "--n", str(n))
         assert (code, out) == (2, None)
-        assert err.startswith("error: p=")
+        assert err.startswith(f"error: exponent requires 2 <= n <= {MAX_N} ")
+
+    @pytest.mark.parametrize("n,code", [(MAX_N, 0), (MAX_N + 1, 2), (4009, 2), (30002, 2)])
+    def test_admitted_n_are_one_interval(self, capsys, n, code):
+        # 4009 is the first n whose p is off the cancellation-free form, and
+        # 30002 is one of the larger n that used to pass that check again
+        assert run_cli(capsys, "exponent", "--n", str(n))[0] == code
 
     def test_n1_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "exponent", "--n", "1")

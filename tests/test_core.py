@@ -47,7 +47,7 @@ class TestExponent:
             assert abs(lhs - rhs) <= 1e-13 * rhs
 
     def test_p_keeps_the_expanded_form_bits(self):
-        for n in range(2, 1000):
+        for n in range(2, core.MAX_N + 1):
             ln_n = math.log(n)
             assert exponent(n).p == (n * ln_n - (n - 1) * math.log(n - 1)) / ln_n
 
@@ -61,8 +61,15 @@ class TestExponent:
     @pytest.mark.parametrize("n", [10**7, 10**15, 10**16, 10**400])
     def test_cancelling_n_is_refused_before_c(self, n):
         # at 10^16 the expanded form gives p = 0 exactly, and c = n/p would divide by it
-        with pytest.raises(ValueError, match=f"for n={n} "):
+        with pytest.raises(ValueError, match=f"got {n}$"):
             exponent(n)
+
+    def test_admitted_n_are_one_interval(self):
+        # every n up to 4008 is within P_REL_TOL; 4009 is the first that is not
+        assert core.MAX_N <= 4008
+        for n in (core.MAX_N + 1, 4009, 30002, 10**400):
+            with pytest.raises(ValueError, match=rf"^exponent requires 2 <= n <= {core.MAX_N} "):
+                exponent(n)
 
     def test_derived_fields(self):
         params = exponent(7)

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubeconv import cli
+from cubeconv.core import MAX_N
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -82,13 +83,23 @@ def test_verify_functions_fuzz(path, text):
 
 # Integer options, drawn so that no run is large: ground sets of at most 8
 # elements (or past the cap of 24), products n*t of at most 12 (or past 24),
-# and n either small or large enough that p_n cancels.
+# and n small, around the bound MAX_N, or large enough that p_n cancels.
+# An n-fold corner runs n - 1 rank products, so n near the bound is drawn
+# with at most 4 elements, and mostly just past the bound.
 HUGE = 2**70
+near_bound_n = st.integers(MAX_N - 1, MAX_N + 8)
 exponent_n = st.one_of(
-    st.integers(-3, 2000), st.integers(10**12, HUGE), st.sampled_from([10**15, 10**16, 2**64, 10**400])
+    st.integers(-3, 2000),
+    near_bound_n,
+    st.integers(10**12, HUGE),
+    st.sampled_from([10**15, 10**16, 2**64, 4009, 30002, 10**400]),
 )
-verify_n = st.one_of(st.integers(-2, 5), st.integers(10**16, HUGE))
 verify_m = st.one_of(st.integers(-2, 8), st.integers(25, HUGE))
+verify_nm = st.one_of(
+    st.tuples(st.integers(-2, 5), verify_m),
+    st.tuples(near_bound_n, st.integers(-2, 4)),
+    st.tuples(st.integers(10**16, HUGE), verify_m),
+)
 seed = st.one_of(
     st.integers(0, 2**64 - 1), st.integers(-HUGE, HUGE), st.sampled_from([-1, 2**64 - 1, 2**64])
 )
@@ -105,8 +116,9 @@ def test_exponent_argv_fuzz(n):
 
 
 @SETTINGS
-@given(seed, verify_n, verify_m)
-def test_verify_argv_fuzz(seed, n, m):
+@given(seed, verify_nm)
+def test_verify_argv_fuzz(seed, nm):
+    n, m = nm
     run_argv(["verify", "--seed", str(seed), "--n", str(n), "--m", str(m), "--trials", "1"])
 
 

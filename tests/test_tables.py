@@ -70,6 +70,10 @@ class TestTable:
         assert f != CubeFunction(1, [1, 3], INT)
         assert f != CubeFunction(1, [1, 2], REAL)
 
+    def test_negative_zero_equals_zero(self):
+        f, g = CubeFunction(1, [-0.0, 1.0]), CubeFunction(1, [0.0, 1.0])
+        assert f == g and hash(f) == hash(g)
+
     def test_nested_input_rejected(self):
         with pytest.raises(ValueError, match="need exactly 2 values, got 4"):
             CubeFunction(1, [[1, 2], [3, 4]], INT)

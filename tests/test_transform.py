@@ -3,6 +3,7 @@ import io
 import itertools
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -705,7 +706,8 @@ class TestRankTableBudget:
         assert self.refused_peak(monkeypatch, table - 1, lambda: run_trials(config)) < table
 
     def test_run_trials_chunks_to_the_budget(self, monkeypatch):
-        config = TrialConfig(n=4, m=6, trials=40, seed=8, distribution="sparse", signed=True)
+        # at n=3 a trial's rank table (7 x 2^6 x 8 B) outweighs its draw (2 x 3 x 2^6 x 8 B)
+        config = TrialConfig(n=3, m=6, trials=40, seed=8, distribution="sparse", signed=True)
         whole = run_trials(config)
         batches = []
 
@@ -717,6 +719,50 @@ class TestRankTableBudget:
         monkeypatch.setattr(core, "RANK_TABLE_BUDGET", 3 * (config.m + 1) * 8 << config.m)
         assert run_trials(config) == whole
         assert batches == [3] * 13 + [1]
+
+    def test_run_trials_chunks_to_the_draws(self, monkeypatch):
+        config = TrialConfig(n=20, m=4, trials=40, seed=8, distribution="sparse", signed=True)
+        whole = run_trials(config)
+        batches = []
+
+        def spy(fs, m):
+            batches.append(fs.shape[1])
+            return batch_corner_value(fs, m)
+
+        monkeypatch.setattr(verifier, "batch_corner_value", spy)
+        draw = 2 * config.n * 8 << config.m  # the value plane and one transient plane
+        assert draw > 5 * 8 << config.m  # a trial's draw outweighs its rank table
+        monkeypatch.setattr(core, "RANK_TABLE_BUDGET", 3 * draw)
+        assert run_trials(config) == whole
+        assert batches == [3] * 13 + [1]
+
+    @pytest.mark.parametrize(
+        "distribution,signed,planes", [("uniform", False, 1), ("sparse", False, 2), ("uniform", True, 2)]
+    )
+    def test_run_trials_refuses_a_trial_over_budget(self, monkeypatch, distribution, signed, planes):
+        config = TrialConfig(n=20, m=8, trials=4, seed=5, distribution=distribution, signed=signed)
+        draw = planes * config.n * 8 << config.m
+        assert self.refused_peak(monkeypatch, draw - 1, lambda: run_trials(config)) < draw
+        message = f"a trial's draw of {planes} planes x 20 functions x 2^8 values needs {draw} bytes"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}, over the rank-table budget of {draw - 1} bytes$"):
+            run_trials(config)
+
+    def test_verify_over_the_draw_budget_exits_2(self, monkeypatch):
+        monkeypatch.setattr(core, "RANK_TABLE_BUDGET", 2**20)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["verify", "--n", "200", "--m", "12", "--trials", "1024"])
+        assert (code, out.getvalue()) == (2, "")
+        assert err.getvalue() == (
+            f"error: a trial's draw of 1 planes x 200 functions x 2^12 values needs {200 * 8 << 12} bytes, "
+            f"over the rank-table budget of {2**20} bytes\n"
+        )
+
+    def test_chunks_stay_1024_through_m12_and_n5(self):
+        cells = itertools.product(range(2, 6), range(1, 13), ("uniform", "sparse"), (False, True))
+        for n, m, distribution, signed in cells:
+            config = TrialConfig(n=n, m=m, trials=1, seed=0, distribution=distribution, signed=signed)
+            assert min(core.fit_rank_table(m + 1, m), verifier._fit_draws(config)) >= 1024
 
     def test_witness_exits_2(self, monkeypatch):
         monkeypatch.setattr(core, "RANK_TABLE_BUDGET", 2**20)

@@ -1,11 +1,21 @@
+import contextlib
+import io
 import math
+import multiprocessing
+import os
 import random
+import subprocess
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cubeconv
+from cubeconv import cli, verifier
 from cubeconv.core import REAL, CubeFunction, exponent
 from cubeconv.transform import corner_convolution
 from cubeconv.verifier import (
@@ -328,3 +338,138 @@ class TestTrials:
         assert run_trials(TrialConfig(n=3, m=4, trials=2, seed=2**64 - 1))["failures"] == 0
         with pytest.raises(ValueError):
             TrialConfig(n=3, m=4, trials=1, seed=1, distribution="cauchy")
+
+
+def force_pieces(monkeypatch, cpus):
+    """Make run_trials see `cpus` CPUs and split every chunk of at least
+    `cpus` trials into that many pieces."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(verifier, "_MIN_PIECE", 1)
+
+
+class TestPieces:
+    """Large chunks are split across CPUs: the calling thread computes the
+    first piece and a long-lived helper thread each of the others."""
+
+    @pytest.mark.parametrize(
+        "distribution,signed", [("uniform", False), ("exponential", False), ("sparse", False), ("sparse", True)]
+    )
+    def test_pieces_give_the_serial_report(self, monkeypatch, distribution, signed):
+        config = TrialConfig(n=4, m=5, trials=300, seed=21, distribution=distribution, signed=signed)
+        corner, passes, threads, sides = verifier.batch_corner_value, verifier._passes, set(), []
+        helper_in = threading.Event()
+
+        def corner_spy(fs, m):
+            threads.add(threading.current_thread())
+            if threading.current_thread() is not caller:
+                helper_in.set()
+            elif not serial_run:
+                helper_in.wait(30)  # so that a helper claims a piece
+            return corner(fs, m)
+
+        def passes_spy(lhs, rhs):
+            sides.append((lhs.tobytes(), rhs.tobytes()))
+            return passes(lhs, rhs)
+
+        monkeypatch.setattr(verifier, "batch_corner_value", corner_spy)
+        monkeypatch.setattr(verifier, "_passes", passes_spy)
+        caller, serial_run = threading.current_thread(), True
+        force_pieces(monkeypatch, 1)
+        serial = run_trials(config, chunk=128)
+        assert threads == {caller}
+        force_pieces(monkeypatch, 3)
+        serial_sides, sides[:], serial_run = sides[:], [], False
+        assert run_trials(config, chunk=128) == serial
+        assert sides == serial_sides  # every chunk's lhs and rhs, joined in trial order
+        assert caller in threads and len(threads) >= 2
+
+    def test_a_failing_helper_piece_reaches_the_caller(self, monkeypatch):
+        caller, corner = threading.current_thread(), verifier.batch_corner_value
+        helper_in = threading.Event()
+
+        def fail_off_the_caller(fs, m):
+            if threading.current_thread() is not caller:
+                helper_in.set()
+                raise ValueError("a helper piece failed")
+            helper_in.wait(30)  # so that the helper claims the other piece
+            helper_in.clear()
+            return corner(fs, m)
+
+        config = TrialConfig(n=3, m=4, trials=40, seed=3)
+        force_pieces(monkeypatch, 2)
+        serial = run_trials(config)
+        monkeypatch.setattr(verifier, "batch_corner_value", fail_off_the_caller)
+        with pytest.raises(ValueError, match="^a helper piece failed$"):
+            run_trials(config)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["verify", "--n", "3", "--m", "4", "--trials", "40"])
+        assert (code, out.getvalue(), err.getvalue()) == (2, "", "error: a helper piece failed\n")
+        monkeypatch.setattr(verifier, "batch_corner_value", corner)
+        assert run_trials(config) == serial  # the helper is free again
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_a_fork_child_starts_its_own_helper(self, monkeypatch):
+        force_pieces(monkeypatch, 2)
+        config = TrialConfig(n=3, m=4, trials=40, seed=4, distribution="sparse")
+        report = run_trials(config)  # the parent's helper is running
+        context = multiprocessing.get_context("fork")
+        recv, send = context.Pipe(duplex=False)
+
+        def in_the_child():
+            caller, corner = threading.current_thread(), verifier.batch_corner_value
+            threads, helper_in = set(), threading.Event()
+
+            def corner_spy(fs, m):
+                threads.add(threading.current_thread())
+                if threading.current_thread() is caller:
+                    helper_in.wait(10)  # so that a helper, if there is one, claims a piece
+                else:
+                    helper_in.set()
+                return corner(fs, m)
+
+            verifier.batch_corner_value = corner_spy
+            send.send((run_trials(config), len(threads)))
+
+        child = context.Process(target=in_the_child)
+        child.start()
+        try:
+            assert recv.poll(60), "the fork child did not finish run_trials within 60 s"
+            assert recv.recv() == (report, 2)  # the caller's piece and one on the child's own helper
+        finally:
+            child.join(10)
+            if child.is_alive():
+                child.kill()
+        assert child.exitcode == 0
+
+    def test_concurrent_callers_get_their_own_reports(self, monkeypatch):
+        force_pieces(monkeypatch, 3)
+        configs = [
+            TrialConfig(n=3, m=4, trials=200, seed=seed, distribution=distribution)
+            for seed, distribution in enumerate(DISTRIBUTIONS + ("uniform",))
+        ]
+        expected = [run_trials(config, chunk=30) for config in configs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads switch often, so the pieces' claims interleave
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                reports = list(pool.map(lambda config: run_trials(config, chunk=30), configs * 3, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert reports == expected * 3
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+        reason="needs sched_setaffinity and two CPUs",
+    )
+    def test_verify_stdout_does_not_depend_on_the_cpu_count(self):
+        src = os.path.dirname(os.path.dirname(cubeconv.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = [sys.executable, "-m", "cubeconv.cli", "verify", "--n", "5", "--m", "8", "--trials", "1024"]
+        argv += ["--distribution", "sparse", "--signed"]
+        cpu = min(os.sched_getaffinity(0))
+        one = subprocess.run(
+            argv, env=env, capture_output=True, check=True, preexec_fn=lambda: os.sched_setaffinity(0, {cpu})
+        )
+        every = subprocess.run(argv, env=env, capture_output=True, check=True)
+        assert one.stdout.startswith(b"{") and one.stdout == every.stdout
