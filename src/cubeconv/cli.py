@@ -63,14 +63,14 @@ def _read_canonical(text: str) -> SetFamily | None:
     breaks a rule of the format."""
     if not text.isascii():
         return None
-    m, body = None, text
+    m, start = None, 0
     if text.startswith("m="):
-        header, _, body = text.partition("\n")
-        digits = header[2:]
+        end = text.find("\n") % (len(text) + 1)  # the header's end; no copy of the body is made
+        digits, start = text[2:end], end + 1
         if not (digits.isdigit() and digits[0] != "0" and len(digits) <= 2):
             return None
         m = int(digits)
-    tokens = _canonical_tokens(body)
+    tokens = _canonical_tokens(text, start)
     if tokens is None:
         return None
     element, heads = tokens
@@ -85,17 +85,17 @@ def _read_canonical(text: str) -> SetFamily | None:
     sizes = np.diff(np.append(heads, len(element))) - (element[heads] == 0)  # a "-" line has 0
     if np.any(popcounts(m)[masks] != sizes):  # a repeated element carries
         return None
-    return SetFamily(m, tuple(members.tolist()))
+    return SetFamily(m, members)
 
 
-def _canonical_tokens(body: str) -> tuple[np.ndarray, np.ndarray] | None:
-    """(elements, line heads) of the set lines of a canonical file: each
+def _canonical_tokens(text: str, start: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """(elements, line heads) of the set lines from text[start] on: each
     token's element ("-" as 0) and the index of each line's first token;
     None if the lines break the format.  The byte-wide arrays live only
     here, so they are freed before the masks are built."""
-    if not body:
+    b = np.frombuffer((text if text.endswith("\n") else text + "\n").encode("ascii"), dtype=np.uint8)[start:]
+    if not b.size:
         return None
-    b = np.frombuffer((body if body.endswith("\n") else body + "\n").encode("ascii"), dtype=np.uint8)
     newline, dash, digit = b == ord("\n"), b == ord("-"), b - np.uint8(ord("0"))
     sep = newline | (b == ord(","))
     head = np.concatenate(([True], sep[:-1]))  # the byte starts a token
@@ -147,11 +147,10 @@ def _parse_lines(text: str) -> SetFamily:
         if top > m:
             raise ValueError(f"element {top} exceeds m={m}")
     check_m(m)
-    masks = [sum(1 << (e - 1) for e in elems) for elems in sets]
-    members = sorted(set(masks))
-    if len(members) != len(masks):
+    members = np.sort(np.array([sum(1 << (e - 1) for e in elems) for elems in sets], dtype=np.int64))
+    if np.any(members[1:] == members[:-1]):
         raise ValueError("duplicate sets in family file")
-    return SetFamily(m, tuple(members))
+    return SetFamily(m, members)
 
 
 def serialize_family(family: SetFamily) -> str:
@@ -167,7 +166,7 @@ def serialize_family(family: SetFamily) -> str:
     for e in range(1, m + 1):
         cells[e - 1, : len(str(e)) + 1] = np.frombuffer(f"{e},".encode("ascii"), dtype=np.uint8)
     cells[m, :2] = np.frombuffer(b"-\n", dtype=np.uint8)
-    masks = np.array(family.members, dtype="<i8").reshape(-1, 1)
+    masks = np.asarray(family.members, dtype="<i8").reshape(-1, 1)
     bits = np.unpackbits(masks.view(np.uint8), axis=1, bitorder="little")[:, :m].view(bool)
     keep = np.concatenate((bits, masks == 0), axis=1)[:, :, None] & (cells != 0)
     text = np.broadcast_to(cells, keep.shape)[keep]

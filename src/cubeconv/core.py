@@ -42,11 +42,13 @@ def check_m(m: int) -> None:
         raise ValueError(f"m={m} out of range [1, {MAX_M}]")
 
 
+@functools.cache
 def popcounts(m: int) -> np.ndarray:
-    """The element count of every mask 0 .. 2^m - 1, as uint8."""
+    """The element count of every mask 0 .. 2^m - 1, as read-only uint8, built once per m."""
     pc = np.zeros(1 << m, dtype=np.uint8)
     for b in range(m):
         pc[1 << b : 2 << b] = pc[: 1 << b] + 1
+    pc.flags.writeable = False
     return pc
 
 
@@ -102,18 +104,18 @@ class CubeFunction:
         return cls(m, table, INT)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SetFamily:
-    """Deduplicated collection of subsets of {1,..,m}, strictly sorted."""
+    """Deduplicated subsets of {1,..,m}: `members`, a read-only int64 array of masks, strictly increasing."""
 
     m: int
-    members: tuple = field(default_factory=tuple)
+    members: np.ndarray = field(default_factory=tuple)
 
     def __post_init__(self):
         check_m(self.m)
-        mem = tuple(self.members)
-        masks = np.array(mem, dtype=None if mem else np.int64)
-        if masks.dtype.kind not in "biu":  # ints past 64 bits come as objects
+        mem = self.members if isinstance(self.members, np.ndarray) else list(self.members)
+        masks = np.asarray(mem, dtype=None if len(mem) else np.int64)
+        if masks.dtype.kind not in "biu":  # ints past 64 bits come as objects or floats
             if not all(isinstance(s, numbers.Integral) for s in mem):
                 raise TypeError("family members must be integer masks")
             raise ValueError("family member outside 2^[m]")
@@ -121,11 +123,21 @@ class SetFamily:
             raise ValueError("family member outside 2^[m]")
         if np.any(masks[1:] <= masks[:-1]):
             raise ValueError("members must be strictly increasing (duplicates forbidden)")
-        object.__setattr__(self, "members", mem)
+        masks = masks.astype(np.int64)  # a copy, so no caller can write to it
+        masks.flags.writeable = False
+        object.__setattr__(self, "members", masks)
+
+    def __eq__(self, other):  # by value, as __hash__
+        return isinstance(other, SetFamily) and self.m == other.m and np.array_equal(self.members, other.members)
+
+    def __hash__(self):
+        return hash((self.m, self.members.tobytes()))
 
     @classmethod
     def from_masks(cls, m: int, masks) -> "SetFamily":
-        return cls(m, tuple(sorted(set(masks))))
+        mem = masks if isinstance(masks, np.ndarray) else list(masks)
+        s = np.sort(mem)  # repeats are dropped; __post_init__ refuses non-integer kinds in any order
+        return cls(m, np.concatenate((s[:1], s[1:][s[1:] != s[:-1]])) if s.dtype.kind in "biu" else mem)
 
     def __len__(self):
         return len(self.members)
@@ -221,7 +233,6 @@ def family_to_functions(family: SetFamily, n: int) -> list[CubeFunction]:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     m = family.m
-    members = np.array(family.members, dtype=np.int64)
-    first = CubeFunction.indicator(m, members)
-    last = CubeFunction.indicator(m, members ^ ((1 << m) - 1))
+    first = CubeFunction.indicator(m, family.members)
+    last = CubeFunction.indicator(m, family.members ^ ((1 << m) - 1))
     return [first] * (n - 1) + [last]

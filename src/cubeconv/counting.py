@@ -55,7 +55,7 @@ def _count(family: SetFamily, n: int, method: str) -> tuple[int, str]:
     size = len(family)
     if size ** (n - 1) > BRUTE_TUPLE_CAP:
         raise ValueError(f"brute-force needs |X|^(n-1) = {size ** (n - 1)} > {BRUTE_TUPLE_CAP} tuples")
-    members = family.members
+    members = family.members.tolist()  # Python ints: the oracle shares no numpy arithmetic
     member_set = set(members)
     count = 0
     for parts in itertools.product(members, repeat=n - 1):
@@ -105,5 +105,4 @@ def extremal_family(n: int, t: int) -> SetFamily:
     if m > MAX_M:
         raise ValueError(f"ground size n*t = {m} exceeds cap {MAX_M}")
     pc = popcounts(m)
-    masks = np.flatnonzero((pc == t) | (pc == (n - 1) * t))
-    return SetFamily(m, tuple(masks.tolist()))
+    return SetFamily(m, np.flatnonzero((pc == t) | (pc == (n - 1) * t)))

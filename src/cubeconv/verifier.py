@@ -134,8 +134,11 @@ def check_main_inequality(fs: list[CubeFunction], params: HoelderParams) -> Ineq
         raise ValueError(f"expected {params.n} functions, got {len(fs)}")
     if any(f.flavor != REAL for f in fs):
         raise ValueError("main inequality checks run in real flavor")
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-        lhs = corner_convolution(fs, method="fast")
+    try:  # a corner that underflows would read 0, pass on ABS_TOL and measure no ratio
+        with np.errstate(over="ignore", invalid="ignore", under="raise"):  # an overflow is reported below
+            lhs = corner_convolution(fs, method="fast")
+    except FloatingPointError:
+        raise ValueError("corner convolution underflows float64") from None
     if not math.isfinite(lhs):
         raise ValueError("corner convolution overflows float64")
     rhs = math.prod(lp_norm(f, params.p) for f in fs)
@@ -233,7 +236,11 @@ def _sides(config: TrialConfig, p: float, idx: np.ndarray) -> tuple[np.ndarray, 
     """lhs and rhs of the trials idx: draw, corner and norms."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported by run_trials
         fs = _draw_functions(config, idx)
-        lhs = batch_corner_value(fs, config.m)
+        try:  # the corner alone: an underflow is refused as in check_main_inequality
+            with np.errstate(under="raise"):
+                lhs = batch_corner_value(fs, config.m)
+        except FloatingPointError:
+            raise ValueError("corner convolution underflows float64") from None
         # the product runs in f_1 .. f_n order, as in check_main_inequality
         return lhs, np.prod(lp_norms(fs, p), axis=0)
 

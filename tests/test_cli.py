@@ -22,7 +22,7 @@ class TestFamilyFiles:
     def test_parse_basic(self):
         fam = cli.parse_family("m=3\n# comment\n1,3\n-\n2\n")
         assert fam.m == 3
-        assert fam.members == (0, 0b010, 0b101)
+        assert fam.members.tolist() == [0, 0b010, 0b101]
 
     def test_header_optional_m_inferred(self):
         fam = cli.parse_family("1,3,7\n2\n")
@@ -30,7 +30,7 @@ class TestFamilyFiles:
 
     def test_inline_comments_and_blank_lines(self):
         fam = cli.parse_family("m=2\n\n1 # just element one\n1,2\n")
-        assert fam.members == (0b01, 0b11)
+        assert fam.members.tolist() == [0b01, 0b11]
 
     def test_empty_only_without_header_rejected(self):
         with pytest.raises(ValueError):
@@ -87,7 +87,7 @@ class TestFamilyFiles:
     def test_non_canonical_element_spellings(self):
         fam = cli.parse_family("m=4\n 2 ,+3\n04\n1,2 # c\n-\n")
         assert fam == cli.parse_family("m=4\n2,3\n4\n1,2\n-\n")
-        assert fam.members == (0, 0b0011, 0b0110, 0b1000)
+        assert fam.members.tolist() == [0, 0b0011, 0b0110, 0b1000]
 
     def test_round_trip(self):
         rng = random.Random(6)
@@ -327,6 +327,12 @@ class TestVerifyCommand:
             code, out, err = run_cli(capsys, "verify", "--functions", str(path))
         assert (code, out) == (2, None)
         assert re.fullmatch(r"error: .* overflows float64\n", err)
+
+    def test_a_corner_that_underflows_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "tiny.txt"
+        path.write_text("m=1 count=3\n1e-200 1e-200\n1e-200 1e-200\n1e-200 1e-200\n")  # terms of 1e-600
+        code, out, err = run_cli(capsys, "verify", "--functions", str(path))
+        assert (code, out, err) == (2, None, "error: corner convolution underflows float64\n")
 
 
 class TestExtremalCommand:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import cubeconv
@@ -125,7 +126,7 @@ class TestCubeFunction:
 class TestSetFamily:
     def test_dedupe_and_sort(self):
         fam = SetFamily.from_masks(3, [5, 1, 5, 0])
-        assert fam.members == (0, 1, 5)
+        assert fam.members.tolist() == [0, 1, 5]
         assert len(fam) == 3
 
     def test_duplicates_rejected_in_constructor(self):
@@ -152,6 +153,67 @@ class TestSetFamily:
         message = r"^members must be strictly increasing \(duplicates forbidden\)$"
         with pytest.raises(ValueError, match=message):
             SetFamily(2, members)
+
+    def test_members_are_a_read_only_int64_array_of_its_own(self):
+        given = np.array([0, 1, 5], dtype=np.uint8)
+        fam = SetFamily(3, given)
+        assert fam.members.dtype == np.int64 and not fam.members.flags.writeable
+        with pytest.raises(ValueError):
+            fam.members[0] = 2
+        given[0] = 7  # the family holds a copy
+        assert fam.members.tolist() == [0, 1, 5]
+        assert SetFamily(3).members.dtype == np.int64 and len(SetFamily(3)) == 0
+
+    def test_equal_and_hashed_by_value_whatever_the_input(self):
+        families = [
+            SetFamily(3, (0, 1, 2)),
+            SetFamily(3, [0, 1, 2]),
+            SetFamily(3, range(3)),
+            SetFamily(3, np.arange(3)),
+            SetFamily(3, np.arange(3, dtype=np.uint8)),
+            SetFamily.from_masks(3, {2, 0, 1}),
+            SetFamily.from_masks(3, np.array([2, 0, 1, 2])),
+        ]
+        assert all(fam == families[0] and hash(fam) == hash(families[0]) for fam in families)
+        assert SetFamily(4, (0, 1, 2)) != families[0]
+        assert SetFamily(3, (0, 1)) != families[0]
+        assert families[0] != (0, 1, 2)
+        assert len({*families, SetFamily(4, (0, 1, 2))}) == 2
+
+    @pytest.mark.parametrize(
+        "members,error",
+        [
+            (np.array([1.5]), TypeError),
+            (np.array(["3"]), TypeError),
+            (np.array([None]), TypeError),
+            (np.array([4]), ValueError),
+            (np.array([-1, 1]), ValueError),
+            (np.array([2**63], dtype=np.uint64), ValueError),
+            (np.array([2**70], dtype=object), ValueError),
+        ],
+    )
+    def test_array_members_get_the_same_errors(self, members, error):
+        message = "family members must be integer masks" if error is TypeError else r"family member outside 2\^\[m\]"
+        with pytest.raises(error, match=f"^{message}$"):
+            SetFamily(2, members)
+        with pytest.raises(error, match=f"^{message}$"):
+            SetFamily(2, members.tolist())
+
+    @pytest.mark.parametrize(
+        "masks,error",
+        [
+            (["3"], TypeError),
+            ([1.5], TypeError),
+            ((0, 2.0), TypeError),
+            ([4, 0, 4], ValueError),
+            ((0, 2**63), ValueError),
+            ([2**70, 1], ValueError),
+            ([-(2**64), 1], ValueError),
+        ],
+    )
+    def test_from_masks_gets_the_same_errors(self, masks, error):
+        with pytest.raises(error, match="^family member"):
+            SetFamily.from_masks(2, masks)
 
 
 class TestFamilyEncoding:

@@ -14,6 +14,7 @@ from cubeconv.core import INT, REAL, CubeFunction, SetFamily
 from cubeconv.counting import count_disjoint_tuples
 from cubeconv.transform import (
     _BLOCK,
+    _mass,
     _batch_rank_mult,
     _batch_ranked_zeta,
     _batch_zeta_inplace,
@@ -669,6 +670,98 @@ class TestKernelBoundaries:
         ranks, table, _ = _batch_rank_mult(tb, tb, m, keep=[m])  # ranks 2 only, 5 wanted
         assert ranks == [] and table.shape == (0, 1 << m) + batch
         assert np.array_equal(batch_corner_value(np.stack([b, b]), m), np.zeros(batch))
+
+
+def one_call_butterfly(a, m, inverse=False):
+    """The full butterfly in one op a bit, over every run however short:
+    the reference for the lanes."""
+    op = np.subtract if inverse else np.add
+    trials = math.prod(a.shape[2:])
+    for b in range(m):
+        v = a.reshape(len(a), 1 << (m - 1 - b), 2, trials << b)
+        op(v[:, :, 1], v[:, :, 0], out=v[:, :, 1])
+
+
+def lane_rows(rng, m, batch, kind, live):
+    """(rows, 2^m) + batch values: row j holds values on the masks where
+    live[j] (a mask-rank test) holds.  Float values are -0.0 about a third
+    of the time; "wrap" values are any int64, so sums wrap mod 2^64; "mod"
+    values are residues."""
+    rank = np.array([s.bit_count() for s in range(1 << m)])
+    table = np.zeros((len(live), 1 << m) + batch, dtype=np.float64 if kind == "float" else np.int64)
+    for row, test in zip(table, live):
+        shape = (int(np.sum(test(rank))),) + batch
+        if kind == "float":
+            row[test(rank)] = np.where(rng.random(shape) < 0.3, -0.0, rng.standard_normal(shape))
+        else:
+            row[test(rank)] = rng.integers(*((-(2**63), 2**63) if kind == "wrap" else (0, MERSENNE)), shape)
+    return table, rank
+
+
+LANE_CASES = dict(argnames="batch", argvalues=[(), (1,), (2,), (4,)], ids=["rows", "1", "2", "4"])
+
+
+class TestLanes:
+    """Butterfly runs of up to _LANES = 4 positions are added a lane at a
+    time; each value gets the same single add as in one op over all runs."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 6, 9])
+    @pytest.mark.parametrize(**LANE_CASES)
+    @pytest.mark.parametrize("kind", ["float", "wrap", "mod"])
+    @pytest.mark.parametrize("inverse", [False, True], ids=["zeta", "moebius"])
+    def test_lanes_equal_one_call(self, m, batch, kind, inverse):
+        rng = np.random.default_rng([m, len(batch), len(kind), inverse])
+        table, _ = lane_rows(rng, m, batch, kind, [lambda rank: rank >= 0] * 3)
+        got, want = table.copy(), table.copy()
+        _batch_zeta_inplace(got, m, inverse)
+        one_call_butterfly(want, m, inverse)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("m", [2, 3, 6, 9])
+    @pytest.mark.parametrize(**LANE_CASES)
+    @pytest.mark.parametrize("kind", ["float", "wrap", "mod"])
+    def test_ranked_lanes_equal_one_call(self, m, batch, kind):
+        """A trimmed zeta row equals the full one; a trimmed Moebius row with
+        floors equals it at the masks of its rank, the only ones read."""
+        rng = np.random.default_rng([m, len(batch), len(kind), 5])
+        for _ in range(3):
+            ranks = sorted(rng.choice(m + 1, size=rng.integers(1, m + 2), replace=False).tolist())
+            table, rank = lane_rows(rng, m, batch, kind, [lambda rank, r=r: rank == r for r in ranks])
+            got, want = table.copy(), table.copy()
+            _batch_zeta_inplace(got, m, ranks=ranks)
+            one_call_butterfly(want, m)
+            assert got.tobytes() == want.tobytes()
+            floors = [int(rng.integers(0, r + 1)) for r in ranks]
+            table, rank = lane_rows(rng, m, batch, kind, [lambda rank, f=f: rank >= f for f in floors])
+            got, want = table.copy(), table.copy()
+            _batch_zeta_inplace(got, m, inverse=True, ranks=ranks, floors=floors)
+            one_call_butterfly(want, m, inverse=True)
+            for j, r in enumerate(ranks):
+                assert got[j, rank == r].tobytes() == want[j, rank == r].tobytes()
+
+
+class TestMass:
+    """(sum |a|, max |a|) is exact in one uint64 sum while max * size < 2^64
+    and in split 32-bit halves past it."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [2**62 - 1] * 4,  # peak * size just below 2^64: one sum
+            [2**62] * 4,  # just above: one sum would wrap to 0
+            [2**62 - 1] * 3 + [-(2**62)],
+            [-(2**63)],  # |-2^63| is 2^63, one sum
+            [-(2**63), 0],  # peak * size = 2^64: halves
+            [-(2**63), -(2**63), 2**63 - 1],
+            [3, -5, 0, 7],
+        ],
+    )
+    def test_exact_on_both_sides_of_the_one_sum_bound(self, values):
+        assert _mass(np.array(values, dtype=np.int64)) == (sum(map(abs, values)), max(map(abs, values)))
+
+    def test_python_ints(self):
+        values = [2**70, -(2**80), 5]
+        assert _mass(np.array(values, dtype=object)) == (2**70 + 2**80 + 5, 2**80)
 
 
 class TestRankTableBudget:

@@ -408,6 +408,35 @@ class TestPieces:
         monkeypatch.setattr(verifier, "batch_corner_value", corner)
         assert run_trials(config) == serial  # the helper is free again
 
+    def test_an_underflowed_corner_exits_2(self, monkeypatch):
+        """Each corner of 1000 uniform draws at m=1 underflows to 0, which
+        would pass on ABS_TOL; serial or in a helper's piece, verify exits 2."""
+        argv = ["verify", "--n", "1000", "--m", "1", "--trials", "4"]
+
+        def verify():
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            return code, out.getvalue(), err.getvalue()
+
+        refused = (2, "", "error: corner convolution underflows float64\n")
+        force_pieces(monkeypatch, 1)
+        assert verify() == refused
+        caller, corner, helper_out = threading.current_thread(), verifier.batch_corner_value, threading.Event()
+
+        def underflow_off_the_caller(fs, m):
+            if threading.current_thread() is not caller:
+                try:
+                    return corner(fs, m)
+                finally:
+                    helper_out.set()
+            assert helper_out.wait(30)  # the helper claimed the other piece and raised
+            return np.ones(fs.shape[1])  # the caller's piece passes
+
+        monkeypatch.setattr(verifier, "batch_corner_value", underflow_off_the_caller)
+        force_pieces(monkeypatch, 2)
+        assert verify() == refused
+
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_a_fork_child_starts_its_own_helper(self, monkeypatch):
         force_pieces(monkeypatch, 2)
