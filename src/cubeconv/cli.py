@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -317,6 +318,7 @@ def _cmd_lemma(args) -> int:
     return EXIT_OK if report["min_last_value"] >= -lemma_lab.RESIDUAL_TOL else EXIT_VIOLATION
 
 
+@functools.cache  # built on the first call, not at import; parse_args leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cubeconv",

@@ -49,7 +49,7 @@ def _count(family: SetFamily, n: int, method: str) -> tuple[int, str]:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if method == "fast":
-        return corner_convolution(family_to_functions(family, n), method="fast", with_kernel=True)
+        return corner_convolution(family_to_functions(family, n), with_kernel=True)
     if method != "brute":
         raise ValueError(f"unknown method {method!r}")
     size = len(family)

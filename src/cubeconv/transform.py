@@ -23,15 +23,11 @@ trial's value does not depend on its batch.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 
 import numpy as np
 
 from .core import REAL, CubeFunction, fit_rank_table, popcounts
-
-# Brute-force corner enumeration walks n^m labeled coordinate assignments.
-BRUTE_TERM_CAP = 10**8
 
 # Modulus of the first residue pass: int64 arithmetic wraps around mod 2^64.
 WORD = 2**64
@@ -348,25 +344,19 @@ def subset_convolve(f: CubeFunction, g: CubeFunction) -> CubeFunction:
     return CubeFunction(f.m, out, f.flavor)
 
 
-def corner_convolution(fs: list[CubeFunction], method: str = "fast", with_kernel: bool = False):
+def corner_convolution(fs: list[CubeFunction], *, with_kernel: bool = False):
     """n-fold convolution of fs evaluated at the all-ones corner:
     the sum of prod_j f_j(x_j) over ordered partitions x_1+..+x_n = 1^m.
 
     with_kernel=True returns (value, kernel), where kernel names the path
-    taken: "float64", "int64", "int64-crt<k>" (k moduli) or "brute".
+    taken: "float64", "int64" or "int64-crt<k>" (k moduli).
     """
     if not fs:
         raise ValueError("need at least one function")
-    m = fs[0].m
     for f in fs[1:]:
         _check_compatible(fs[0], f)
-    if method == "brute":
-        value, kernel = _corner_brute(fs), "brute"
-    elif method != "fast":
-        raise ValueError(f"unknown method {method!r}")
-    else:
-        out, kernel = _evaluate(fs, functools.partial(batch_corner_value, m=m), _corner_bound)
-        value = out.item()  # a Python float or int, by flavor
+    out, kernel = _evaluate(fs, functools.partial(batch_corner_value, m=fs[0].m), _corner_bound)
+    value = out.item()  # a Python float or int, by flavor
     return (value, kernel) if with_kernel else value
 
 
@@ -375,18 +365,3 @@ def _corner_bound(masses) -> int:
     # of their union, so |corner| <= prod_{j != k} sum |f_j| * max |f_k|.
     sums = [total for total, _ in masses]
     return min(math.prod(sums[:k] + sums[k + 1 :]) * peak for k, (_, peak) in enumerate(masses))
-
-
-def _corner_brute(fs: list[CubeFunction]):
-    """Enumerate assignments of each coordinate to one of the n labeled
-    blocks; n^m terms, guarded."""
-    n, m = len(fs), fs[0].m
-    if n**m > BRUTE_TERM_CAP:
-        raise ValueError(f"brute-force corner needs n^m = {n**m} > {BRUTE_TERM_CAP} terms")
-    total = fs[0].values[0] * 0
-    for assign in itertools.product(range(n), repeat=m):
-        masks = [0] * n
-        for coord, j in enumerate(assign):
-            masks[j] |= 1 << coord
-        total += math.prod(f.values[mask] for f, mask in zip(fs, masks))
-    return total

@@ -12,8 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-import queue
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,11 +24,10 @@ from .core import (
     exponent,
     fit_budget,
     fit_rank_table,
-    lp_norm,
     lp_norms,
     popcounts,
 )
-from .transform import batch_corner_value, corner_convolution
+from .transform import batch_corner_value
 
 # Both sides of a check can be ~0, so pass/fail combines a relative and
 # an absolute floor.
@@ -134,17 +131,13 @@ def check_main_inequality(fs: list[CubeFunction], params: HoelderParams) -> Ineq
         raise ValueError(f"expected {params.n} functions, got {len(fs)}")
     if any(f.flavor != REAL for f in fs):
         raise ValueError("main inequality checks run in real flavor")
-    try:  # a corner that underflows would read 0, pass on ABS_TOL and measure no ratio
-        with np.errstate(over="ignore", invalid="ignore", under="raise"):  # an overflow is reported below
-            lhs = corner_convolution(fs, method="fast")
-    except FloatingPointError:
-        raise ValueError("corner convolution underflows float64") from None
-    if not math.isfinite(lhs):
-        raise ValueError("corner convolution overflows float64")
-    rhs = math.prod(lp_norm(f, params.p) for f in fs)
-    if not math.isfinite(rhs):
-        raise ValueError("product of the norms overflows float64")
-    return _verdict(lhs, rhs)
+    if any(f.m != fs[0].m for f in fs):
+        raise ValueError(f"ground-set size mismatch: {[f.m for f in fs]}")
+    # A list, not a stacked array: a repeated function (equality_witness)
+    # stays one array, so the corner tabulates it once.
+    lhs, rhs = _sides([f.table for f in fs], fs[0].m, params.p)
+    _check_finite(lhs, rhs)
+    return _verdict(lhs.item(), rhs.item())
 
 
 def check_two_point(u, v, params: HoelderParams) -> InequalityCheck:
@@ -232,75 +225,67 @@ def _fit_draws(config: TrialConfig) -> int:
     return fit_budget(what, planes * config.n * 8 << config.m)
 
 
-def _sides(config: TrialConfig, p: float, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """lhs and rhs of the trials idx: draw, corner and norms."""
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported by run_trials
-        fs = _draw_functions(config, idx)
-        try:  # the corner alone: an underflow is refused as in check_main_inequality
-            with np.errstate(under="raise"):
-                lhs = batch_corner_value(fs, config.m)
+def _sides(tables, m: int, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """lhs and rhs of every check: the corner of the function tables over
+    2^m masks, and the product of their p-norms.  `tables` is n arrays of
+    shape (..., 2^m), or one (n, ..., 2^m) array, which the norms
+    overwrite.  An overflow is left to _check_finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:  # a corner that underflows would read 0, pass on ABS_TOL and measure no ratio
+            with np.errstate(under="raise"):  # the corner alone
+                lhs = batch_corner_value(tables, m)
         except FloatingPointError:
             raise ValueError("corner convolution underflows float64") from None
-        # the product runs in f_1 .. f_n order, as in check_main_inequality
-        return lhs, np.prod(lp_norms(fs, p), axis=0)
+        if isinstance(tables, np.ndarray):
+            norms = lp_norms(tables, p)
+        else:  # a copy of one table at a time, with an outer axis of 1 as a trial in a batch
+            norms = np.array([lp_norms(np.array(t, dtype=np.float64)[None], p) for t in tables])
+        # the product runs in f_1 .. f_n order, over the outer axis of the (n, ...) norms
+        return lhs, np.prod(norms, axis=0)
 
 
-def _serve(calls: queue.SimpleQueue) -> None:
-    """A helper thread: it runs the calls put on its queue, one at a time."""
-    while True:
-        calls.get()()
+def _check_finite(lhs, rhs) -> None:
+    """Refuse sides that overflowed float64: the JSON report cannot say them."""
+    if not np.all(np.isfinite(lhs)):
+        raise ValueError("corner convolution overflows float64")
+    if not np.all(np.isfinite(rhs)):
+        raise ValueError("product of the norms overflows float64")
 
 
-_helpers: list[queue.SimpleQueue] = []
-_helpers_lock = threading.Lock()
-_helpers_pid = os.getpid()
-
-
-def _helper_queues(k: int) -> list[queue.SimpleQueue]:
-    """The call queues of the first k helpers, started on first use.  A
-    helper lives as long as the process, so its allocations reuse one
-    malloc arena; a fresh thread for each chunk would open another."""
-    global _helpers, _helpers_lock, _helpers_pid
-    if _helpers_pid != os.getpid():
-        # A fork child inherits the list and the lock, not the threads.  (An
-        # os.register_at_fork hook would instead keep every imported copy
-        # of this module alive.)
-        _helpers, _helpers_lock, _helpers_pid = [], threading.Lock(), os.getpid()
-    with _helpers_lock:
-        while len(_helpers) < k:
-            _helpers.append(queue.SimpleQueue())
-            threading.Thread(target=_serve, args=(_helpers[-1],), name="cubeconv-helper", daemon=True).start()
-        return _helpers[:k]
+# The helper pool of each process, by pid.  Its threads live as long as
+# the process, so their allocations reuse one malloc arena; a fresh thread
+# for each chunk would open another.  A fork child inherits the parent's
+# pool, not its threads, so it makes its own.  (An os.register_at_fork
+# hook would instead keep every imported copy of this module alive.)
+_pools: dict = {}  # pid -> concurrent.futures.ThreadPoolExecutor
 
 
 def _split_sides(config: TrialConfig, p: float, idx: np.ndarray, cpus: int):
-    """_sides of idx in pieces of at least _MIN_PIECE drawn values, at most
-    one a CPU, joined in trial order.  The calling thread and one helper
-    for each further piece claim pieces in turn until none is left, so the
-    caller also computes a piece whose helper has not started it (when the
-    host lends that helper's CPU elsewhere), and waits for a helper only
-    while a piece is unfinished."""
+    """_sides of the draws of trials idx in pieces of at least _MIN_PIECE
+    drawn values, at most one a CPU, joined in trial order.  The calling
+    thread and one pooled helper for each further piece claim pieces in
+    turn until none is left, so the caller also computes a piece whose
+    helper has not started it (when the host lends that helper's CPU
+    elsewhere), and waits for a helper only while a piece is unfinished."""
     pieces = np.array_split(idx, max(1, min(cpus, (len(idx) * config.n << config.m) // _MIN_PIECE)))
     sides: list = [None] * len(pieces)
     claims = itertools.count()  # next() is atomic under the GIL
-    done = queue.SimpleQueue()  # each helper's exception, or None
 
-    def work():
-        try:
-            while (i := next(claims)) < len(pieces):
-                sides[i] = _sides(config, p, pieces[i])
-        except BaseException as exc:  # the caller raises it
-            return exc
+    def work(i: int) -> None:
+        while i < len(pieces):
+            sides[i] = _sides(_draw_functions(config, pieces[i]), config.m, p)
+            i = next(claims)
 
-    for calls in _helper_queues(len(pieces) - 1):
-        calls.put(lambda: done.put(work()))
-    exc = work()
-    for _ in range(len(pieces) - 1):
-        if exc is not None or all(side is not None for side in sides):
+    first = next(claims)  # claimed before any helper starts, or a new helper could take every piece
+    if len(pieces) > 1 and os.getpid() not in _pools:  # setdefault: first callers at once share one pool
+        from concurrent.futures import ThreadPoolExecutor  # here: it loads logging, 0.6 MB that count never uses
+        _pools.setdefault(os.getpid(), ThreadPoolExecutor(cpus - 1, thread_name_prefix="cubeconv-helper"))
+    helpers = [_pools[os.getpid()].submit(lambda: work(next(claims))) for _ in pieces[1:]]
+    work(first)
+    for helper in helpers:
+        if all(side is not None for side in sides):
             break
-        exc = done.get()
-    if exc is not None:
-        raise exc
+        helper.result()  # raises the helper's exception
     return (np.concatenate(side) for side in zip(*sides))
 
 
@@ -318,10 +303,7 @@ def run_trials(config: TrialConfig, chunk: int = 1024) -> dict:
     for start in range(0, config.trials, chunk):
         idx = np.arange(start, min(start + chunk, config.trials))
         lhs, rhs = _split_sides(config, p, idx, cpus)
-        if not np.all(np.isfinite(lhs)):
-            raise ValueError("corner convolution overflows float64")
-        if not np.all(np.isfinite(rhs)):
-            raise ValueError("product of the norms overflows float64")
+        _check_finite(lhs, rhs)
         failures += int(np.count_nonzero(~_passes(lhs, rhs)))
         pos = rhs > 0
         if np.any(pos):

@@ -328,11 +328,32 @@ class TestVerifyCommand:
         assert (code, out) == (2, None)
         assert re.fullmatch(r"error: .* overflows float64\n", err)
 
+    def test_a_norm_past_float64_is_named_as_in_the_trials(self, tmp_path, capsys):
+        path = tmp_path / "wide.txt"
+        path.write_text("m=1 count=2\n1e200 1e200\n1e-100 1e-100\n")  # the corner is 2e100
+        code, out, err = run_cli(capsys, "verify", "--functions", str(path))
+        assert (code, out, err) == (2, None, "error: product of the norms overflows float64\n")
+
     def test_a_corner_that_underflows_exits_2(self, tmp_path, capsys):
         path = tmp_path / "tiny.txt"
         path.write_text("m=1 count=3\n1e-200 1e-200\n1e-200 1e-200\n1e-200 1e-200\n")  # terms of 1e-600
         code, out, err = run_cli(capsys, "verify", "--functions", str(path))
         assert (code, out, err) == (2, None, "error: corner convolution underflows float64\n")
+
+
+class TestParserReuse:
+    """main builds the argparse tree once; no option outlives its call."""
+
+    def test_options_do_not_leak_between_calls(self, tmp_path, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        argv = ["verify", "--n", "3", "--m", "3", "--trials", "20"]
+        assert run_cli(capsys, *argv, "--signed")[1]["signed"] is True
+        assert run_cli(capsys, *argv)[1]["signed"] is False
+        path = tmp_path / "fam.txt"
+        path.write_text("m=2\n-\n1\n2\n1,2\n")
+        count = ["count", "--family", str(path), "--n", "3"]
+        assert run_cli(capsys, *count, "--method", "brute")[1]["method"] == "brute"
+        assert run_cli(capsys, *count)[1]["method"] == "fast"
 
 
 class TestExtremalCommand:

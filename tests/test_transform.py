@@ -25,6 +25,7 @@ from cubeconv.transform import (
     zeta,
 )
 from cubeconv.verifier import TrialConfig, run_trials
+from oracles import corner_brute
 
 
 def submasks(s):
@@ -220,45 +221,44 @@ class TestSubsetConvolve:
 class TestCornerConvolution:
     def test_two_functions_one_coordinate(self):
         f = CubeFunction(1, [1, 1], INT)
-        assert corner_convolution([f, f], "fast") == 2
-        assert corner_convolution([f, f], "brute") == 2
+        assert corner_convolution([f, f]) == 2
+        assert corner_brute([f, f]) == 2
 
     def test_three_functions_one_coordinate(self):
         f = CubeFunction(1, [1, 1], INT)
-        assert corner_convolution([f, f, f], "fast") == 3
+        assert corner_convolution([f, f, f]) == 3
 
     def test_all_ones_counts_labeled_partitions(self):
         f = CubeFunction(2, [1, 1, 1, 1], INT)
-        assert corner_convolution([f, f, f], "brute") == 9
-        assert corner_convolution([f, f, f], "fast") == 9
+        assert corner_brute([f, f, f]) == 9
+        assert corner_convolution([f, f, f]) == 9
 
     @pytest.mark.parametrize("n,m", [(2, 3), (3, 4), (4, 5), (3, 10)])
     def test_fast_equals_brute_integer(self, n, m):
         rng = random.Random(n * 31 + m)
         fs = [random_int_function(rng, m) for _ in range(n)]
-        assert corner_convolution(fs, "fast") == corner_convolution(fs, "brute")
+        assert corner_convolution(fs) == corner_brute(fs)
 
     @pytest.mark.parametrize("n,m", [(3, 4), (3, 6), (4, 5), (5, 4), (5, 6)])
     def test_wide_signed_integers_take_crt_and_equal_brute(self, n, m):
         rng = random.Random(n * 57 + m)
         fs = [wide_int_function(rng, m) for _ in range(n)]
-        value, kernel = corner_convolution(fs, "fast", with_kernel=True)
+        value, kernel = corner_convolution(fs, with_kernel=True)
         assert kernel.startswith("int64-crt")
-        assert value == corner_convolution(fs, "brute")
+        assert value == corner_brute(fs)
 
     def test_signed_int64_values_past_the_word_bound(self):
         # Every value fits int64, but the corner bound (~32 * 5e11)^3 * 1e12
         # is about 2^171: 2^64 times four primes near 2^31 covers twice it.
         rng = random.Random(41)
         fs = [random_int_function(rng, 5, -(10**12), 10**12) for _ in range(4)]
-        value, kernel = corner_convolution(fs, "fast", with_kernel=True)
+        value, kernel = corner_convolution(fs, with_kernel=True)
         assert kernel == "int64-crt5"
-        assert value == corner_convolution(fs, "brute")
+        assert value == corner_brute(fs)
 
     def test_kernel_names(self):
         f = CubeFunction(2, [1, 1, 1, 1], INT)
         assert corner_convolution([f, f, f], with_kernel=True) == (9, "int64")
-        assert corner_convolution([f, f, f], "brute", with_kernel=True) == (9, "brute")
         real = CubeFunction(2, [1.0] * 4, REAL)
         assert corner_convolution([real, real], with_kernel=True) == (4.0, "float64")
 
@@ -274,16 +274,16 @@ class TestCornerConvolution:
         fs = [
             CubeFunction(4, [rng.uniform(-1, 1) for _ in range(16)], REAL) for _ in range(3)
         ]
-        fast = corner_convolution(fs, "fast")
-        brute = corner_convolution(fs, "brute")
+        fast = corner_convolution(fs)
+        brute = corner_brute(fs)
         assert fast == pytest.approx(brute, rel=1e-9, abs=1e-12)
 
     def test_permutation_invariant(self):
         rng = random.Random(29)
         fs = [random_int_function(rng, 4) for _ in range(4)]
-        base = corner_convolution(fs, "fast")
+        base = corner_convolution(fs)
         for perm in itertools.permutations(fs):
-            assert corner_convolution(list(perm), "fast") == base
+            assert corner_convolution(list(perm)) == base
 
     def test_tensor_multiplicativity(self):
         # coordinate-wise products factor into per-coordinate 1-dim corners
@@ -302,23 +302,18 @@ class TestCornerConvolution:
         expected = 1.0
         for c in range(m):
             ones = [CubeFunction(1, [pairs[j][c][0], pairs[j][c][1]], REAL) for j in range(n)]
-            expected *= corner_convolution(ones, "fast")
-        assert corner_convolution(fs, "fast") == pytest.approx(expected, rel=1e-9)
+            expected *= corner_convolution(ones)
+        assert corner_convolution(fs) == pytest.approx(expected, rel=1e-9)
 
     def test_single_function_reads_corner(self):
         f = CubeFunction(2, [5, 6, 7, 8], INT)
-        assert corner_convolution([f], "fast") == 8
-        assert corner_convolution([f], "brute") == 8
+        assert corner_convolution([f]) == 8
+        assert corner_brute([f]) == 8
 
     def test_brute_guard(self):
         f = CubeFunction(10, [1] * 1024, INT)
         with pytest.raises(ValueError):
-            corner_convolution([f] * 7, "brute")  # 7^10 > 1e8
-
-    def test_unknown_method(self):
-        f = CubeFunction(1, [1, 1], INT)
-        with pytest.raises(ValueError):
-            corner_convolution([f, f], "magic")
+            corner_brute([f] * 7)  # 7^10 > 1e8
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("m", range(1, 9))
@@ -352,7 +347,7 @@ class TestRankSparse:
         rng = random.Random(f"corner-layers:{n}:{m}:{flavor}")
         for _ in range(6):
             fs = [layered_function(rng, m, random_layers(rng, m), flavor) for _ in range(n)]
-            fast, brute = corner_convolution(fs, "fast"), corner_convolution(fs, "brute")
+            fast, brute = corner_convolution(fs), corner_brute(fs)
             if flavor == INT:
                 assert fast == brute
             else:
@@ -361,7 +356,7 @@ class TestRankSparse:
     def test_corner_is_zero_when_no_fold_reaches_rank_m(self):
         rng = random.Random(4)
         fs = [layered_function(rng, 5, {1}) for _ in range(3)]  # ranks add up to 3 < 5
-        assert corner_convolution(fs, "fast") == corner_convolution(fs, "brute") == 0
+        assert corner_convolution(fs) == corner_brute(fs) == 0
         zero = CubeFunction(5, [0] * 32, INT)
         assert corner_convolution([zero, zero], with_kernel=True) == (0, "int64")
         assert corner_convolution([CubeFunction(5, [0.0] * 32, REAL)] * 3) == 0.0
@@ -407,7 +402,7 @@ class TestRankSparse:
         flavor = INT if dtype == np.int64 else REAL
         for t in range(trials):
             cube = [CubeFunction(m, fs[j, t].tolist(), flavor) for j in range(n)]
-            assert batch[t] == corner_convolution(cube, "brute")
+            assert batch[t] == corner_brute(cube)
 
 
 class TestAdjointFinish:
@@ -443,7 +438,7 @@ class TestAdjointFinish:
         fast = corner_convolution(dense + [last])
         # two zeta tables (none for f_n), each cut to ranks 0..4; one product row
         assert built == {"zeta": [list(range(5))] * 2, "product": [[4]]}
-        brute = corner_convolution(dense + [last], "brute")
+        brute = corner_brute(dense + [last])
         assert fast == brute if flavor == INT else fast == pytest.approx(brute, rel=1e-9, abs=1e-12)
 
     def test_repeated_factors_are_cut_to_the_ranks_that_can_meet_f_n(self, monkeypatch):
@@ -456,7 +451,7 @@ class TestAdjointFinish:
         fast = corner_convolution([f, f, f, last])
         # need = {1, 3}: rank 1 of f alone can sum to 3; products keep 2 and then 3
         assert built == {"zeta": [[1]], "product": [[2], [3]]}
-        assert fast == corner_convolution([f, f, f, last], "brute")
+        assert fast == corner_brute([f, f, f, last])
 
     @pytest.mark.parametrize("flavor", [INT, REAL])
     def test_a_fold_that_reaches_no_needed_rank_is_zero(self, monkeypatch, flavor):
@@ -468,7 +463,7 @@ class TestAdjointFinish:
         value = corner_convolution(fs)
         assert built["product"] in ([], [[]])
         assert np.float64(value).tobytes() == np.float64(0.0).tobytes()
-        assert corner_convolution(fs, "brute") == 0
+        assert corner_brute(fs) == 0
         zero = CubeFunction(m, [0] * (1 << m), flavor)
         assert corner_convolution(fs[:2] + [zero]) == 0  # nothing to read
 
@@ -483,10 +478,10 @@ class TestAdjointFinish:
             wide, wider = wide_int_function(rng, m), wide_int_function(rng, m)
             assert corner_convolution([wide], with_kernel=True)[0] == wide.values[-1]
             value, kernel = corner_convolution([wide, wider], with_kernel=True)
-            assert kernel.startswith("int64-crt") and value == corner_convolution([wide, wider], "brute")
+            assert kernel.startswith("int64-crt") and value == corner_brute([wide, wider])
             real = [CubeFunction(m, [rng.uniform(-1, 1) for _ in range(1 << m)], REAL) for _ in range(2)]
             assert corner_convolution(real[:1], with_kernel=True) == (real[0].values[-1], "float64")
-            brute = corner_convolution(real, "brute")
+            brute = corner_brute(real)
             assert corner_convolution(real) == pytest.approx(brute, rel=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -495,14 +490,14 @@ class TestAdjointFinish:
         m = 4
         small = [random_int_function(rng, m) for _ in range(n)]
         value, kernel = corner_convolution(small, with_kernel=True)
-        assert (value, kernel) == (corner_convolution(small, "brute"), "int64")
+        assert (value, kernel) == (corner_brute(small), "int64")
         wide = [wide_int_function(rng, m) for _ in range(n)]
         value, kernel = corner_convolution(wide, with_kernel=True)
-        assert kernel.startswith("int64-crt") and value == corner_convolution(wide, "brute")
+        assert kernel.startswith("int64-crt") and value == corner_brute(wide)
         real = [layered_function(rng, m, random_layers(rng, m), REAL) for _ in range(n)]
         value, kernel = corner_convolution(real, with_kernel=True)
         assert kernel == "float64"
-        assert value == pytest.approx(corner_convolution(real, "brute"), rel=1e-9, abs=1e-12)
+        assert value == pytest.approx(corner_brute(real), rel=1e-9, abs=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("m", [1, 2, 4, 6])

@@ -15,9 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cubeconv
-from cubeconv import cli, verifier
+from cubeconv import cli, transform, verifier
 from cubeconv.core import REAL, CubeFunction, exponent
-from cubeconv.transform import corner_convolution
 from cubeconv.verifier import (
     DISTRIBUTIONS,
     TrialConfig,
@@ -30,6 +29,7 @@ from cubeconv.verifier import (
     run_trials,
     trial_uniforms,
 )
+from oracles import corner_brute
 
 
 def random_real_functions(rng, n, m, signed=False):
@@ -61,7 +61,7 @@ class TestMainInequality:
             assert check.passed
             assert check.ratio < 1.0
             assert check.lhs == pytest.approx(
-                corner_convolution(fs, "brute"), rel=1e-9, abs=1e-12
+                corner_brute(fs), rel=1e-9, abs=1e-12
             )
 
     def test_homogeneity(self):
@@ -87,6 +87,25 @@ class TestMainInequality:
                 check_main_inequality(abs_fs, params).lhs
                 >= check_main_inequality(fs, params).lhs - 1e-12
             )
+
+    def test_the_witness_is_tabulated_once(self, monkeypatch):
+        """equality_witness repeats one function; the corner's fold reaches
+        it as one array and rank-tabulates it once (a stacked copy of the
+        n tables would be tabulated n - 1 times)."""
+        calls, ranked_zeta = [], transform._batch_ranked_zeta
+
+        def spy(*args, **kwargs):
+            calls.append(args[0])
+            return ranked_zeta(*args, **kwargs)
+
+        monkeypatch.setattr(transform, "_batch_ranked_zeta", spy)
+        check = check_main_inequality(equality_witness(4, 6), exponent(4))
+        assert len(calls) == 1
+        assert check.ratio == pytest.approx(1.0, abs=1e-9 * 6)
+
+    def test_ground_set_mismatch_rejected(self):
+        with pytest.raises(ValueError, match=r"^ground-set size mismatch: \[1, 2\]$"):
+            check_main_inequality([CubeFunction(1, [1.0] * 2), CubeFunction(2, [1.0] * 4)], exponent(2))
 
     def test_wrong_arity_rejected(self):
         f = CubeFunction(1, [1.0, 1.0])
