@@ -158,21 +158,16 @@ def serialize_family(family: SetFamily) -> str:
     """The canonical file of a family: an "m=<m>" header, then one line per
     member, its elements ascending and comma-separated, or "-" if empty.
 
-    Written in one numpy pass: a member has a 3-byte cell per element (the
-    element's token and a comma, zero-padded) and a last "-\\n" cell; its
-    line is the nonzero bytes of the cells it keeps, its elements' or the
-    "-" cell alone, with the last byte made a line end."""
-    m = family.m
-    cells = np.zeros((m + 1, 3), dtype=np.uint8)
+    A line joins two table entries, the "e1,e2,...," names of the
+    member's low k = m // 2 bits and of its high m - k bits, less the
+    last comma."""
+    m, k = family.m, family.m // 2
+    low, high = [""], [""]  # names of the masks over elements 1..k and k+1..m, bit i for the i-th
     for e in range(1, m + 1):
-        cells[e - 1, : len(str(e)) + 1] = np.frombuffer(f"{e},".encode("ascii"), dtype=np.uint8)
-    cells[m, :2] = np.frombuffer(b"-\n", dtype=np.uint8)
-    masks = np.asarray(family.members, dtype="<i8").reshape(-1, 1)
-    bits = np.unpackbits(masks.view(np.uint8), axis=1, bitorder="little")[:, :m].view(bool)
-    keep = np.concatenate((bits, masks == 0), axis=1)[:, :, None] & (cells != 0)
-    text = np.broadcast_to(cells, keep.shape)[keep]
-    text[np.cumsum(np.count_nonzero(keep, axis=(1, 2))) - 1] = ord("\n")  # each line's last comma
-    return f"m={m}\n" + text.tobytes().decode("ascii")
+        names = low if e <= k else high
+        names += [name + f"{e}," for name in names]
+    lines = [(low[x & ((1 << k) - 1)] + high[x >> k])[:-1] or "-" for x in family.members.tolist()]
+    return "\n".join([f"m={m}", *lines, ""])
 
 
 # ---------------------------------------------------------------------------

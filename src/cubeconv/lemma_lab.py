@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HoelderParams
+from .core import HoelderParams, fit_budget
 
 RESIDUAL_TOL = 1e-9
 IDENTITY_TOL = 1e-7
@@ -22,6 +22,8 @@ BISECT_TOL = 1e-12
 BRACKET_GROWTH_CAP = 2**40
 # grid used to locate sign changes before bisection refines them
 _SCAN_POINTS = 4096
+# upper end of scan_last_value's grid in z
+SCAN_Z_MAX = 1e3
 
 
 def log_dual_gap(x: float, b: float) -> float:
@@ -262,19 +264,17 @@ def _finish_report(n, k, params, z, extra_sign_changes):
     )
 
 
-def scan_last_value(
-    n: int,
-    params: HoelderParams,
-    grid: int = 10_000,
-    z_max: float = 1e3,
-) -> dict:
+def scan_last_value(n: int, params: HoelderParams, grid: int = 10_000) -> dict:
     """Minimum of the final inequality value over a log grid in z for
-    every k; the grid starts just above max(1+r, n/(n-1))."""
+    every k; the grid starts just above max(1+r, n/(n-1)) and ends at
+    SCAN_Z_MAX."""
     if grid < 2:
         raise ValueError("need at least 2 grid points")
+    # zs, the last k's values, the partial sum and two temporaries: five float64 arrays at once
+    fit_budget(f"a scan grid of {grid} points", 5 * 8, grid)
     r = params.r
     z_lo = max(1.0 + r, n / (n - 1) + 1e-6)
-    zs = np.geomspace(z_lo, z_max, grid)
+    zs = np.geomspace(z_lo, SCAN_Z_MAX, grid)
     per_k = {}
     for k in range(1, n):
         vals = (
@@ -289,7 +289,7 @@ def scan_last_value(
         "n": n,
         "grid": grid,
         "z_lo": float(z_lo),
-        "z_max": float(z_max),
+        "z_max": SCAN_Z_MAX,
         "min_last_value": overall,
         "per_k": per_k,
     }

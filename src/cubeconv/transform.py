@@ -70,8 +70,9 @@ def _mass(a: np.ndarray) -> tuple[int, int]:
 
 
 def _evaluate(fs: list[CubeFunction], kernel, bound) -> tuple[np.ndarray, str]:
-    """Run kernel(arrays, dtype=..., mod=...) on the tables of fs; return
-    the result array and the name of the path taken.
+    """Run kernel(arrays, mod=...) on the tables of fs; return the result
+    array and the name of the path taken.  The kernel allocates with its
+    inputs' dtype: float64 in real flavor, int64 residues in integer.
 
     Real flavor runs once on float64.  Integer flavor is exact: bound()
     maps each function's (sum |f|, max |f|) to B >= |result|.  The wrapped
@@ -84,14 +85,14 @@ def _evaluate(fs: list[CubeFunction], kernel, bound) -> tuple[np.ndarray, str]:
         return [arrays[id(f)] for f in fs]
 
     if fs[0].flavor == REAL:
-        return kernel([f.table for f in fs], dtype=np.float64, mod=None), "float64"
+        return kernel([f.table for f in fs], mod=None), "float64"
     arrays = {id(f): f.table for f in fs}
     masses = {key: _mass(a) for key, a in arrays.items()}
     limit = 2 * bound(ordered(masses))
 
     def residue(mod):
         reduced = {key: _residues(a, mod) for key, a in arrays.items()}
-        return np.atleast_1d(kernel(ordered(reduced), dtype=np.int64, mod=mod))
+        return np.atleast_1d(kernel(ordered(reduced), mod=mod))
 
     value = residue(None)
     if limit < WORD:
@@ -166,14 +167,14 @@ def _rank_support(a: np.ndarray, m: int) -> list[int]:
     return np.flatnonzero(np.bincount(popcounts(m)[live], minlength=m + 1)).tolist()
 
 
-def _batch_ranked_zeta(a: np.ndarray, m: int, dtype=np.float64, mod=None, ranks=None):
+def _batch_ranked_zeta(a: np.ndarray, m: int, mod=None, ranks=None):
     """(..., 2^m) -> (ranks, table): `ranks` (default the rank support of
     `a`) and the per-rank zeta tables of those ranks, mask-major with
     shape (len(ranks), 2^m, ...).  A 1-D `a` gives (len(ranks), 2^m)."""
     ranks = _rank_support(a, m) if ranks is None else ranks
     fit_rank_table(len(ranks), m, math.prod(a.shape[:-1]))
     rows, masks = _rank_slots(ranks, m)
-    out = np.zeros((len(ranks), 1 << m) + a.shape[:-1], dtype=dtype)
+    out = np.zeros((len(ranks), 1 << m) + a.shape[:-1], dtype=a.dtype)
     out[rows, masks] = np.moveaxis(a, -1, 0)[masks]  # the gather transposes
     _batch_zeta_inplace(out, m, ranks=ranks)  # at most 2^m * mod < 2^53 before reducing
     if mod:
@@ -181,7 +182,7 @@ def _batch_ranked_zeta(a: np.ndarray, m: int, dtype=np.float64, mod=None, ranks=
     return ranks, out
 
 
-def _batch_rank_mult(a, b, m: int, dtype=np.float64, mod=None, keep=None):
+def _batch_rank_mult(a, b, m: int, mod=None, keep=None):
     """Product of two (ranks, table[, floors]) rank polynomials; returns
     (ranks, table, floors).  Builds the ranks k in the sumset of the
     supports that are in `keep` (default 0 .. m); row k sums a_i *
@@ -203,11 +204,11 @@ def _batch_rank_mult(a, b, m: int, dtype=np.float64, mod=None, keep=None):
     floors = [[max(floors_a[ia], floors_b[ib]) for ia, ib in terms] for terms in pairs]
     trials = math.prod(table_a.shape[2:])
     fit_rank_table(len(ranks), m, trials)
-    out = np.zeros((len(ranks),) + table_a.shape[1:], dtype=dtype)
+    out = np.zeros((len(ranks),) + table_a.shape[1:], dtype=table_a.dtype)
     c = min(m, (_BLOCK // max(trials, 1) or 1).bit_length() - 1)
     # (rows, positions) views, sized explicitly: a table may have no rows
     flat_a, flat_b, flat_out = (t.reshape(len(t), trials << m) for t in (table_a, table_b, out))
-    term = np.empty(trials << c, dtype=dtype)
+    term = np.empty(trials << c, dtype=out.dtype)
     for g in range(1 << (m - c)):
         start, end, base = (trials << c) * g, (trials << c) * (g + 1), g.bit_count()
         for row, terms, row_floors in zip(flat_out, pairs, floors):
@@ -224,24 +225,24 @@ def _batch_rank_mult(a, b, m: int, dtype=np.float64, mod=None, keep=None):
     return ranks, out, [min(row_floors) for row_floors in floors]
 
 
-def _ranked_moebius(prod, m: int, dtype=np.float64, mod=None) -> np.ndarray:
+def _ranked_moebius(prod, m: int, mod=None) -> np.ndarray:
     """h (2^m, ...) from a (ranks, table, floors) product in the zeta
     domain: h(S) is the Moebius transform of the rank-|S| row at S, and 0
     at masks whose rank has no row.  The rows are inverted in place."""
     ranks, table, floors = prod
     _batch_zeta_inplace(table, m, inverse=True, ranks=ranks, floors=floors)
     rows, masks = _rank_slots(ranks, m)
-    h = np.zeros(table.shape[1:], dtype=dtype)
+    h = np.zeros(table.shape[1:], dtype=table.dtype)
     h[masks] = table[rows, masks] % mod if mod else table[rows, masks]
     return h
 
 
-def _batch_subset_convolve(pair, m: int, dtype=np.float64, mod=None) -> np.ndarray:
-    tables = (_batch_ranked_zeta(h, m, dtype, mod) for h in pair)
-    return np.moveaxis(_ranked_moebius(_batch_rank_mult(*tables, m, dtype, mod), m, dtype, mod), 0, -1)
+def _batch_subset_convolve(pair, m: int, mod=None) -> np.ndarray:
+    tables = (_batch_ranked_zeta(h, m, mod) for h in pair)
+    return np.moveaxis(_ranked_moebius(_batch_rank_mult(*tables, m, mod), m, mod), 0, -1)
 
 
-def batch_corner_value(fs, m: int, dtype=np.float64, mod=None) -> np.ndarray:
+def batch_corner_value(fs, m: int, mod=None) -> np.ndarray:
     """Corner convolution of a batch of function tuples.
 
     fs has shape (n, ..., 2^m), or is a list of n such arrays; returns
@@ -267,14 +268,14 @@ def batch_corner_value(fs, m: int, dtype=np.float64, mod=None) -> np.ndarray:
         return fs[0][..., -1] + 0
     last = np.moveaxis(fs[-1][..., ::-1], -1, 0)  # f_n(S^c) at mask S, mask-major
     if n == 2:
-        h = np.multiply(np.moveaxis(fs[0], -1, 0), last, out=np.empty(last.shape, dtype=dtype))
+        h = np.multiply(np.moveaxis(fs[0], -1, 0), last, out=np.empty(last.shape, dtype=last.dtype))
     else:
         fold, supports = list(fs[:-1]), []
         for j, a in enumerate(fold):
             supports.append(supports[-1] if j and a is fold[j - 1] else _rank_support(a, m))
         need = _rank_support(fs[-1][..., ::-1], m)
         if not need or not all(supports):
-            return np.zeros(last.shape[1:], dtype=dtype)
+            return np.zeros(last.shape[1:], dtype=last.dtype)
         # A rank is built only if the least and largest ranks of the other
         # factors can still bring it into [need[0], need[-1]].
         total_lo, total_hi = sum(s[0] for s in supports), sum(s[-1] for s in supports)
@@ -284,14 +285,14 @@ def batch_corner_value(fs, m: int, dtype=np.float64, mod=None) -> np.ndarray:
             rest_lo, rest_hi = rest_lo - s[0], rest_hi - s[-1]
             if a is not prev:
                 lo, hi = need[0] - (total_hi - s[-1]), need[-1] - (total_lo - s[0])
-                table, prev = _batch_ranked_zeta(a, m, dtype, mod, [r for r in s if lo <= r <= hi]), a
+                table, prev = _batch_ranked_zeta(a, m, mod, [r for r in s if lo <= r <= hi]), a
             if prod is None:
                 prod = table
             else:
                 keep = need if j == n - 2 else range(need[0] - rest_hi, need[-1] - rest_lo + 1)
-                prod = _batch_rank_mult(prod, table, m, dtype, mod, keep)
+                prod = _batch_rank_mult(prod, table, m, mod, keep)
         del table
-        h = _ranked_moebius(prod, m, dtype, mod)
+        h = _ranked_moebius(prod, m, mod)
         h *= last
     if mod:
         h %= mod
@@ -308,7 +309,7 @@ def _check_compatible(f: CubeFunction, g: CubeFunction):
 
 
 def _lattice_transform(f: CubeFunction, inverse: bool) -> CubeFunction:
-    def kernel(arrays, dtype, mod):
+    def kernel(arrays, mod):
         out = arrays[0][None].copy()
         _batch_zeta_inplace(out, f.m, inverse)
         return out[0] % mod if mod else out[0]
@@ -335,12 +336,8 @@ def subset_convolve(f: CubeFunction, g: CubeFunction) -> CubeFunction:
     exact in integer flavor.
     """
     _check_compatible(f, g)
-
-    def bound(masses):  # fixing A fixes B = S \ A, so |h(S)| <= sum|f| max|g|
-        (sum_f, max_f), (sum_g, max_g) = masses
-        return min(sum_f * max_g, sum_g * max_f)
-
-    out, _ = _evaluate([f, g], functools.partial(_batch_subset_convolve, m=f.m), bound)
+    # fixing A fixes B = S \ A, so |h(S)| <= sum|f| max|g|, and likewise swapped: _corner_bound
+    out, _ = _evaluate([f, g], functools.partial(_batch_subset_convolve, m=f.m), _corner_bound)
     return CubeFunction(f.m, out, f.flavor)
 
 

@@ -405,3 +405,14 @@ class TestLemmaCommand:
     def test_solve_requires_k(self, capsys):
         code, _, _ = run_cli(capsys, "lemma", "solve", "--n", "3")
         assert code == 2
+
+    def test_scan_grid_over_the_budget_exits_2_before_allocating(self, capsys):
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "lemma", "scan", "--n", "3", "--grid", "10000000000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, None)
+        assert err.startswith("error: a scan grid of 10000000000 points needs 400000000000 bytes")
+        assert peak < 2**24  # one grid-sized float64 array alone is 80 GB

@@ -1,6 +1,6 @@
 """Malformed input through cli.main: family files for `count`, function
 files for `verify --functions`, and the integer options of `exponent`,
-`verify` and `extremal`.  Any input exits 0, 1 or 2, never with a
+`verify`, `extremal` and `lemma`.  Any input exits 0, 1 or 2, never with a
 traceback, and a report on stdout is strict JSON."""
 
 import contextlib
@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubeconv import cli
-from cubeconv.core import MAX_N
+from cubeconv.core import MAX_N, RANK_TABLE_BUDGET
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -83,9 +83,11 @@ def test_verify_functions_fuzz(path, text):
 
 # Integer options, drawn so that no run is large: ground sets of at most 8
 # elements (or past the cap of 24), products n*t of at most 12 (or past 24),
-# and n small, around the bound MAX_N, or large enough that p_n cancels.
-# An n-fold corner runs n - 1 rank products, so n near the bound is drawn
-# with at most 4 elements, and mostly just past the bound.
+# scan grids of at most 10^4 points (or past the budget's five float64
+# arrays a point), and n small, around the bound MAX_N, or large enough
+# that p_n cancels.  An n-fold corner runs n - 1 rank products and a scan
+# one pass a k, so n near the bound is drawn with at most 4 elements or 64
+# grid points, and mostly just past the bound.
 HUGE = 2**70
 near_bound_n = st.integers(MAX_N - 1, MAX_N + 8)
 exponent_n = st.one_of(
@@ -102,6 +104,17 @@ verify_nm = st.one_of(
 )
 seed = st.one_of(
     st.integers(0, 2**64 - 1), st.integers(-HUGE, HUGE), st.sampled_from([-1, 2**64 - 1, 2**64])
+)
+past_grid = st.integers(RANK_TABLE_BUDGET // 40 + 1, HUGE)
+lemma_scan = st.one_of(
+    st.tuples(st.integers(-3, 12), st.one_of(st.integers(-2, 10**4), past_grid)),
+    st.tuples(near_bound_n, st.one_of(st.integers(-2, 64), past_grid)),
+    st.tuples(st.integers(10**16, HUGE), st.integers(-HUGE, HUGE)),
+)
+lemma_solve = st.one_of(
+    st.tuples(st.integers(-3, 12), st.integers(-3, 13)),
+    st.tuples(near_bound_n, st.one_of(st.integers(-2, 8), st.integers(MAX_N - 8, MAX_N + 10))),
+    st.tuples(st.integers(10**16, HUGE), st.integers(-HUGE, HUGE)),
 )
 extremal_nt = st.one_of(
     st.tuples(st.integers(-2, 13), st.integers(-2, 13)),
@@ -126,3 +139,15 @@ def test_verify_argv_fuzz(seed, nm):
 @given(extremal_nt)
 def test_extremal_argv_fuzz(nt):
     run_argv(["extremal", "--n", str(nt[0]), "--t", str(nt[1])])
+
+
+@SETTINGS
+@given(lemma_scan)
+def test_lemma_scan_argv_fuzz(ng):
+    run_argv(["lemma", "scan", "--n", str(ng[0]), "--grid", str(ng[1])])
+
+
+@SETTINGS
+@given(lemma_solve)
+def test_lemma_solve_argv_fuzz(nk):
+    run_argv(["lemma", "solve", "--n", str(nk[0]), "--k", str(nk[1])])

@@ -135,9 +135,10 @@ class TestRankedZeta:
         for f in (dense, layered):
             occupied = sorted({s.bit_count() for s, v in enumerate(f.values) if v})
             a = np.array(f.values, dtype=np.int64)
-            ranks, table = _batch_ranked_zeta(a, 5, np.int64)
-            reduced_ranks, reduced = _batch_ranked_zeta(a % p, 5, np.int64, mod=p)
+            ranks, table = _batch_ranked_zeta(a, 5)
+            reduced_ranks, reduced = _batch_ranked_zeta(a % p, 5, mod=p)
             assert list(ranks) == list(reduced_ranks) == occupied
+            assert table.dtype == reduced.dtype == np.int64
             assert table.shape == reduced.shape == (len(occupied), 32)
             for k in range(6):
                 for s in range(32):
@@ -157,11 +158,12 @@ class TestRankedZeta:
         a[0, rank == 2] = 0  # each entry has its own rank support
         a[1, (rank == 0) | (rank == 5)] = 0
         a[3, rank % 2 == 1] = 0
-        ranks, table = _batch_ranked_zeta(a, 5, np.int64, mod)
+        ranks, table = _batch_ranked_zeta(a, 5, mod)
         assert ranks == list(range(6))
+        assert table.dtype == a.dtype
         assert table.shape == (6, 32, 4)
         for t in range(4):
-            own_ranks, own = _batch_ranked_zeta(a[t], 5, np.int64, mod)
+            own_ranks, own = _batch_ranked_zeta(a[t], 5, mod)
             for r in ranks:
                 want = own[own_ranks.index(r)] if r in own_ranks else np.zeros(32, np.int64)
                 assert np.array_equal(table[r, :, t], want)
@@ -382,9 +384,10 @@ class TestRankSparse:
         fs = rng.integers(-5, 6, size=(n, 3, 4, 1 << m)).astype(dtype)
         if dtype == np.float64:
             fs *= rng.exponential(size=fs.shape)
-        batch = batch_corner_value(fs, m, dtype=dtype)
-        flat = batch_corner_value(fs.reshape(n, 12, 1 << m), m, dtype=dtype)
+        batch = batch_corner_value(fs, m)
+        flat = batch_corner_value(fs.reshape(n, 12, 1 << m), m)
         assert batch.shape == (3, 4)
+        assert batch.dtype == flat.dtype == dtype
         assert np.array_equal(batch, flat.reshape(3, 4))
 
     @pytest.mark.parametrize("dtype", [np.float64, np.int64])
@@ -396,9 +399,10 @@ class TestRankSparse:
         fs[:, :, (rank == 0) | (rank == 5)] = 0  # dead in every trial
         fs[0, ::2, rank == 2] = 0  # dead in the even trials only
         fs[1, 1::3, rank == 3] = 0
-        batch = batch_corner_value(fs, m, dtype=dtype)
-        single = [batch_corner_value(fs[:, t : t + 1], m, dtype=dtype)[0] for t in range(trials)]
+        batch = batch_corner_value(fs, m)
+        single = [batch_corner_value(fs[:, t : t + 1], m)[0] for t in range(trials)]
         assert np.array_equal(batch, single)
+        assert batch.dtype == dtype
         flavor = INT if dtype == np.int64 else REAL
         for t in range(trials):
             cube = [CubeFunction(m, fs[j, t].tolist(), flavor) for j in range(n)]
@@ -635,17 +639,18 @@ class TestKernelBoundaries:
             shape = batch + (1 << m,)
             a = rng.standard_normal(shape) if kind == "float" else rng.integers(0, 2**20, shape)
             a[..., ~np.isin(rank, rng.choice(m + 1, size=rng.integers(1, m + 2), replace=False))] = 0
-            return _batch_ranked_zeta(a.astype(dtype), m, dtype, mod)
+            return _batch_ranked_zeta(a.astype(dtype), m, mod)
 
         ta, tb, tc = table(), table(), table()
         for keep in (None, [m], range(0, m + 1, 2)):
-            got = _batch_rank_mult(ta, tb, m, dtype, mod, keep)
+            got = _batch_rank_mult(ta, tb, m, mod, keep)
             want = rank_mult_reference(ta, tb, m, mod, keep)
             assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
+            assert ta[1].dtype == got[1].dtype == dtype
             # a product as a factor: its floors must hold for the trim to be exact
             for row, floor in zip(got[1], got[2]):
                 assert not np.any(row[rank < floor])
-            chained = _batch_rank_mult(got, tc, m, dtype, mod, keep)
+            chained = _batch_rank_mult(got, tc, m, mod, keep)
             want = rank_mult_reference(got, tc, m, mod, keep)
             assert chained[0] == want[0] and chained[1].tobytes() == want[1].tobytes()
 
