@@ -9,7 +9,6 @@ from .core import (
     SetFamily,
     exponent,
     family_to_functions,
-    lp_norm,
 )
 from .counting import CountReport, bound_report, count_disjoint_tuples, extremal_family
 from .transform import corner_convolution, moebius, subset_convolve, zeta
@@ -42,7 +41,6 @@ __all__ = [
     "exponent",
     "extremal_family",
     "family_to_functions",
-    "lp_norm",
     "moebius",
     "run_trials",
     "subset_convolve",

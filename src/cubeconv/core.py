@@ -182,45 +182,29 @@ def exponent(n: int) -> HoelderParams:
 
     Uses the expanded logarithm form: n^n overflows floats long before
     n=64, the expanded form never does.  Its difference cancels as n grows
-    (to 0 at n = 10^16), so n is capped at MAX_N and p is checked
-    (_check_p) before c = n/p.
+    (to 0 at n = 10^16), so n is capped at MAX_N, which keeps p in (1, 2]
+    and c = n/p finite; HoelderParams then checks p (_check_p).
     """
     if not 2 <= n <= MAX_N:
         raise ValueError(f"exponent requires 2 <= n <= {MAX_N} (n=1 has a 0/0 exponent), got {n}")
     ln_n = math.log(n)
     p = (n * ln_n - (n - 1) * math.log(n - 1)) / ln_n
-    _check_p(n, p)
     return HoelderParams(n=n, p=p, r=p - 1.0, c=n / p)
 
 
 def lp_norms(x: np.ndarray, p: float) -> np.ndarray:
     """(sum |x|^p)^(1/p) along the last axis of a float64 array, which is
-    overwritten with |x|^p; p >= 1.  lp_norm and the verifier's batched
-    norms both come from here, so a tuple gets the same bits either way.
+    left as it is; p >= 1.
 
-    Exact zeros would take numpy's slow pow path: they enter as 1.0
-    (1^p = 1) and are taken off again."""
-    np.abs(x, out=x)
-    zeros = x == 0
-    x += zeros
-    x **= p
-    x -= zeros
-    return np.sum(x, axis=-1) ** (1.0 / p)
-
-
-def lp_norm(f: CubeFunction, p: float) -> float:
-    """(sum_x |f(x)|^p)^(1/p) over the whole cube; p >= 1."""
-    if p < 1:
-        raise ValueError(f"lp_norm requires p >= 1, got {p}")
-    try:
-        x = np.array(f.table, dtype=np.float64)
-    except OverflowError:  # an integer value alone is beyond float64
-        x = np.full(1, math.inf)
-    with np.errstate(over="ignore"):  # an overflow is reported below
-        norm = float(lp_norms(x[None], p)[0])
-    if norm == math.inf:
-        raise ValueError(f"sum of |f|^p at p={p} overflows float64")
-    return norm
+    The passes run in place on a fresh |x|.  Exact zeros would take
+    numpy's slow pow path: they enter as 1.0 (1^p = 1) and are taken off
+    again."""
+    a = np.abs(x)
+    zeros = a == 0
+    a += zeros
+    a **= p
+    a -= zeros
+    return np.sum(a, axis=-1) ** (1.0 / p)
 
 
 def family_to_functions(family: SetFamily, n: int) -> list[CubeFunction]:

@@ -41,20 +41,24 @@ def count_disjoint_tuples(family: SetFamily, n: int, method: str = "fast") -> in
     The fast path encodes the family as indicator functions and takes
     their exact integer corner convolution; brute enumerates (n-1)-tuples.
     """
+    _check_count(family, n, method)
     return _count(family, n, method)[0]
 
 
-def _count(family: SetFamily, n: int, method: str) -> tuple[int, str]:
-    """(count, kernel) for count_disjoint_tuples."""
+def _check_count(family: SetFamily, n: int, method: str) -> None:
+    """Refuse an n or a method that _count cannot take, before it counts."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
+    if method not in ("fast", "brute"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "brute" and len(family) ** (n - 1) > BRUTE_TUPLE_CAP:
+        raise ValueError(f"brute-force needs |X|^(n-1) = {len(family) ** (n - 1)} > {BRUTE_TUPLE_CAP} tuples")
+
+
+def _count(family: SetFamily, n: int, method: str) -> tuple[int, str]:
+    """(count, kernel) for count_disjoint_tuples, once _check_count passes."""
     if method == "fast":
         return corner_convolution(family_to_functions(family, n), with_kernel=True)
-    if method != "brute":
-        raise ValueError(f"unknown method {method!r}")
-    size = len(family)
-    if size ** (n - 1) > BRUTE_TUPLE_CAP:
-        raise ValueError(f"brute-force needs |X|^(n-1) = {size ** (n - 1)} > {BRUTE_TUPLE_CAP} tuples")
     members = family.members.tolist()  # Python ints: the oracle shares no numpy arithmetic
     member_set = set(members)
     count = 0
@@ -71,10 +75,13 @@ def _count(family: SetFamily, n: int, method: str) -> tuple[int, str]:
 
 
 def bound_report(family: SetFamily, n: int, method: str = "fast") -> CountReport:
-    """Count tuples and compare ln(count) against (n/p_n) ln|X|."""
-    count, kernel = _count(family, n, method)
+    """Count tuples and compare ln(count) against (n/p_n) ln|X|.  The
+    bound is taken first, so exponent refuses an n past MAX_N at once,
+    not after a count that takes minutes."""
+    _check_count(family, n, method)
     size = len(family)
     bound_log = exponent(n).c * math.log(size) if size >= 1 else 0.0
+    count, kernel = _count(family, n, method)
     log_count = math.log(count) if count >= 1 else float("-inf")
     ratio = log_count / math.log(size) if size >= 2 and count >= 1 else None
     return CountReport(

@@ -136,7 +136,6 @@ def check_main_inequality(fs: list[CubeFunction], params: HoelderParams) -> Ineq
     # A list, not a stacked array: a repeated function (equality_witness)
     # stays one array, so the corner tabulates it once.
     lhs, rhs = _sides([f.table for f in fs], fs[0].m, params.p)
-    _check_finite(lhs, rhs)
     return _verdict(lhs.item(), rhs.item())
 
 
@@ -228,28 +227,25 @@ def _fit_draws(config: TrialConfig) -> int:
 def _sides(tables, m: int, p: float) -> tuple[np.ndarray, np.ndarray]:
     """lhs and rhs of every check: the corner of the function tables over
     2^m masks, and the product of their p-norms.  `tables` is n arrays of
-    shape (..., 2^m), or one (n, ..., 2^m) array, which the norms
-    overwrite.  An overflow is left to _check_finite."""
+    shape (..., 2^m), or one (n, ..., 2^m) array; neither is written.
+    Refuses what the JSON report cannot say, in this order: a norm
+    product that overflows float64, then a corner that underflows or
+    overflows it.  So a run whose norms overflow computes no corner."""
     with np.errstate(over="ignore", invalid="ignore"):
+        # one call a function; a lone table gets an outer axis of 1, so it
+        # sums to the bits a trial in a batch gets.  The product runs in
+        # f_1 .. f_n order.
+        rhs = np.prod([lp_norms(np.atleast_2d(t), p) for t in tables], axis=0)
+        if not np.all(np.isfinite(rhs)):
+            raise ValueError("product of the norms overflows float64")
         try:  # a corner that underflows would read 0, pass on ABS_TOL and measure no ratio
             with np.errstate(under="raise"):  # the corner alone
                 lhs = batch_corner_value(tables, m)
         except FloatingPointError:
             raise ValueError("corner convolution underflows float64") from None
-        if isinstance(tables, np.ndarray):
-            norms = lp_norms(tables, p)
-        else:  # a copy of one table at a time, with an outer axis of 1 as a trial in a batch
-            norms = np.array([lp_norms(np.array(t, dtype=np.float64)[None], p) for t in tables])
-        # the product runs in f_1 .. f_n order, over the outer axis of the (n, ...) norms
-        return lhs, np.prod(norms, axis=0)
-
-
-def _check_finite(lhs, rhs) -> None:
-    """Refuse sides that overflowed float64: the JSON report cannot say them."""
     if not np.all(np.isfinite(lhs)):
         raise ValueError("corner convolution overflows float64")
-    if not np.all(np.isfinite(rhs)):
-        raise ValueError("product of the norms overflows float64")
+    return lhs, rhs
 
 
 # The helper pool of each process, by pid.  Its threads live as long as
@@ -303,7 +299,6 @@ def run_trials(config: TrialConfig, chunk: int = 1024) -> dict:
     for start in range(0, config.trials, chunk):
         idx = np.arange(start, min(start + chunk, config.trials))
         lhs, rhs = _split_sides(config, p, idx, cpus)
-        _check_finite(lhs, rhs)
         failures += int(np.count_nonzero(~_passes(lhs, rhs)))
         pos = rhs > 0
         if np.any(pos):

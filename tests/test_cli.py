@@ -7,7 +7,7 @@ import warnings
 
 import pytest
 
-from cubeconv import cli
+from cubeconv import cli, counting
 from cubeconv.core import MAX_N, REAL, CubeFunction, SetFamily
 
 
@@ -219,6 +219,16 @@ class TestCountCommand:
         assert "m=1000000000 out of range [1, 24]" in err
         assert "Traceback" not in err
         assert peak < 2**24  # a 10^9-bit mask alone is 125 MB
+
+    def test_an_n_past_max_n_is_refused_before_counting(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "fam.txt"
+        path.write_text("m=2\n-\n1\n")
+        corners = []
+        monkeypatch.setattr(counting, "corner_convolution", lambda fs, **kw: corners.append(len(fs)) or (0, "int64"))
+        code, out, err = run_cli(capsys, "count", "--family", str(path), "--n", str(MAX_N + 1))
+        assert (code, out) == (2, None)
+        assert err.startswith(f"error: exponent requires 2 <= n <= {MAX_N} ")
+        assert corners == []
 
     def test_missing_file_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "count", "--family", "/nonexistent", "--n", "3")

@@ -14,8 +14,9 @@ from cubeconv.core import (
     exponent,
     family_to_functions,
     fit_rank_table,
-    lp_norm,
+    lp_norms,
 )
+from cubeconv.verifier import _sides
 
 
 class TestExponent:
@@ -80,30 +81,37 @@ class TestExponent:
 
 class TestLpNorm:
     def test_two_point_l2(self):
-        assert lp_norm(CubeFunction(1, [1.0, 1.0]), 2) == pytest.approx(math.sqrt(2))
-        assert lp_norm(CubeFunction(1, [3.0, 4.0]), 2) == pytest.approx(5.0)
+        assert lp_norms(np.array([[1.0, 1.0], [3.0, 4.0]]), 2) == pytest.approx([math.sqrt(2), 5.0])
 
     def test_l1(self):
-        assert lp_norm(CubeFunction(2, [1.0, 2.0, 3.0, 4.0]), 1) == pytest.approx(10.0)
+        assert lp_norms(np.array([1.0, 2.0, 3.0, 4.0]), 1) == pytest.approx(10.0)
 
     def test_zero_function(self):
-        assert lp_norm(CubeFunction(2, [0.0] * 4), 1.5) == 0.0
+        assert lp_norms(np.zeros((1, 4)), 1.5).tolist() == [0.0]
 
-    def test_rejects_p_below_one(self):
-        with pytest.raises(ValueError):
-            lp_norm(CubeFunction(1, [1.0, 1.0]), 0.5)
+    def test_the_input_is_left_as_it_is(self):
+        x = np.array([[-2.0, 0.0, -0.0, 3.5], [1e-300, -1e300, 5e-324, 0.0]])
+        before = x.tobytes()
+        with np.errstate(over="ignore"):
+            norms = lp_norms(x, 1.5)
+        assert x.tobytes() == before
+        assert norms[1] == math.inf
+        table = CubeFunction(2, [-2.0, 0.0, 1.0, 3.0]).table  # read-only
+        assert lp_norms(table, 2) == pytest.approx(math.sqrt(14))
 
-    @pytest.mark.parametrize(
-        "f",
-        [
-            CubeFunction(1, [1e308, 1.0]),
-            CubeFunction(1, [1e300, -1e300]),
-            CubeFunction(1, [0, 10**400], INT),
-        ],
-    )
+    def test_a_function_gets_the_bits_of_the_stacked_call(self):
+        """Norms taken a function at a time equal those of one call on the
+        stacked (n, trials, 2^m) tables, bit for bit."""
+        rng = np.random.default_rng(5)
+        x = rng.exponential(size=(4, 9, 64)) * (rng.random((4, 9, 64)) < 0.5)
+        stacked = lp_norms(x, 1.3)
+        assert np.array_equal(np.stack([lp_norms(t, 1.3) for t in x]), stacked)
+        assert np.array_equal(np.stack([lp_norms(x[0, i], 1.3) for i in range(9)]), stacked[0])
+
+    @pytest.mark.parametrize("f", [[1e308, 1.0], [1e300, -1e300]])
     def test_overflow_is_a_value_error(self, f):
-        with pytest.raises(ValueError, match="overflows float64"):
-            lp_norm(f, 1.5)
+        with pytest.raises(ValueError, match="^product of the norms overflows float64$"):
+            _sides([np.array(f), np.ones(2)], 1, 1.5)
 
 
 class TestCubeFunction:

@@ -1,7 +1,7 @@
 """Malformed input through cli.main: family files for `count`, function
 files for `verify --functions`, and the integer options of `exponent`,
-`verify`, `extremal` and `lemma`.  Any input exits 0, 1 or 2, never with a
-traceback, and a report on stdout is strict JSON."""
+`count`, `verify`, `extremal` and `lemma`.  Any input exits 0, 1 or 2,
+never with a traceback, and a report on stdout is strict JSON."""
 
 import contextlib
 import io
@@ -87,7 +87,9 @@ def test_verify_functions_fuzz(path, text):
 # arrays a point), and n small, around the bound MAX_N, or large enough
 # that p_n cancels.  An n-fold corner runs n - 1 rank products and a scan
 # one pass a k, so n near the bound is drawn with at most 4 elements or 64
-# grid points, and mostly just past the bound.
+# grid points, and mostly just past the bound.  `count` at n = MAX_N takes
+# about 46 s even on two sets, so its n is small or past the bound, where
+# it is refused before the count.
 HUGE = 2**70
 near_bound_n = st.integers(MAX_N - 1, MAX_N + 8)
 exponent_n = st.one_of(
@@ -126,6 +128,12 @@ extremal_nt = st.one_of(
 @given(exponent_n)
 def test_exponent_argv_fuzz(n):
     run_argv(["exponent", "--n", str(n)])
+
+
+@settings(SETTINGS, max_examples=60, deadline=2000)  # ms
+@given(st.one_of(st.integers(-3, 8), st.integers(MAX_N + 1, HUGE)))
+def test_count_argv_fuzz(path, n):
+    run(path, "m=2\n-\n1\n", ["count", "--n", str(n), "--family"])
 
 
 @SETTINGS

@@ -103,6 +103,15 @@ class TestMainInequality:
         assert len(calls) == 1
         assert check.ratio == pytest.approx(1.0, abs=1e-9 * 6)
 
+    def test_a_functions_file_whose_norms_overflow_computes_no_corner(self, monkeypatch, tmp_path):
+        path = tmp_path / "wide.txt"
+        path.write_text("m=1 count=5\n" + "0.0 1e190\n" * 5)  # each norm is finite, their product is not
+        corners = []
+        monkeypatch.setattr(verifier, "batch_corner_value", lambda fs, m: corners.append(m))
+        refused = (2, "", "error: product of the norms overflows float64\n")
+        assert cli_run(["verify", "--functions", str(path)]) == refused
+        assert corners == []
+
     def test_ground_set_mismatch_rejected(self):
         with pytest.raises(ValueError, match=r"^ground-set size mismatch: \[1, 2\]$"):
             check_main_inequality([CubeFunction(1, [1.0] * 2), CubeFunction(2, [1.0] * 4)], exponent(2))
@@ -366,6 +375,14 @@ def force_pieces(monkeypatch, cpus):
     monkeypatch.setattr(verifier, "_MIN_PIECE", 1)
 
 
+def cli_run(argv):
+    """(exit code, stdout, stderr) of cli.main(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 class TestPieces:
     """Large chunks are split across CPUs: the calling thread computes the
     first piece and a long-lived helper thread each of the others."""
@@ -455,6 +472,35 @@ class TestPieces:
         monkeypatch.setattr(verifier, "batch_corner_value", underflow_off_the_caller)
         force_pieces(monkeypatch, 2)
         assert verify() == refused
+
+    def test_an_overflowing_norm_product_computes_no_corner(self, monkeypatch):
+        """Every trial's norm product at n=200, m=8 overflows; serial or in
+        a helper's piece, verify exits 2 before it takes any corner."""
+        argv = ["verify", "--n", "200", "--m", "8", "--trials", "4"]
+        refused = (2, "", "error: product of the norms overflows float64\n")
+        corners, helper_errors, sides, helper_out = [], [], verifier._sides, threading.Event()
+        monkeypatch.setattr(verifier, "batch_corner_value", lambda fs, m: corners.append(fs.shape))
+        force_pieces(monkeypatch, 1)
+        assert cli_run(argv) == refused
+        caller = threading.current_thread()
+
+        def sides_after_the_helper(tables, m, p):
+            if threading.current_thread() is caller:
+                assert helper_out.wait(30)  # the helper claimed the other piece and raised
+                return sides(tables, m, p)
+            try:
+                return sides(tables, m, p)
+            except ValueError as exc:
+                helper_errors.append(str(exc))
+                raise
+            finally:
+                helper_out.set()
+
+        monkeypatch.setattr(verifier, "_sides", sides_after_the_helper)
+        force_pieces(monkeypatch, 2)
+        assert cli_run(argv) == refused
+        assert helper_errors == ["product of the norms overflows float64"]
+        assert corners == []
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_a_fork_child_starts_its_own_helper(self, monkeypatch):
