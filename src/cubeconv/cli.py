@@ -340,8 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--distribution", choices=list(verifier.DISTRIBUTIONS), default="uniform")
     p.add_argument("--density", type=float, default=0.25, help="P(value != 0) for sparse draws")
     p.add_argument("--signed", action="store_true")
-    p.add_argument("--witness", action="store_true", help="check the tight tensor witness instead")
-    p.add_argument("--functions", help="check one explicit tuple from a function file")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--witness", action="store_true", help="check the tight tensor witness instead")
+    mode.add_argument("--functions", help="check one explicit tuple from a function file")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("extremal", help="layered extremal family report")

@@ -8,16 +8,16 @@ integer flavor exactly on int64 residues, in one pass that wraps mod 2^64
 and, when a bound on |result| needs more, passes mod primes below 2^31
 joined by the Chinese remainder theorem.
 
-The corner convolution reads its last function instead of transforming
-it: the corner is sum_S h(S) f_n(S^c), h the subset convolution of the
-others, so the fold builds and inverts only the ranks that f_n meets.
+One fold serves both convolutions: _fold_plan picks, in Python ints, the
+ranks each table and product holds, those that reach a wanted rank of h,
+and _fold runs the plan.  subset_convolve wants every rank; the corner,
+sum_S h(S) f_n(S^c), wants the ranks that f_n meets and only reads f_n.
 
-Rank tables are mask-major, (ranks, 2^m, trials...), and hold only the
-ranks at which their input is nonzero (and which the fold can use).  The
-kernel works in cache-sized pieces and skips only adds of exact zeros and
-outputs nothing reads (see _batch_zeta_inplace and _batch_rank_mult), so
-float64 results are the same bit for bit as a full kernel's, and a
-trial's value does not depend on its batch.
+Rank tables are mask-major, (ranks, 2^m, trials...).  The kernel works in
+cache-sized pieces and skips only adds of exact zeros and outputs nothing
+reads (see _batch_zeta_inplace and _batch_rank_mult), so float64 results
+are the same bit for bit as a full kernel's, and a trial's value does not
+depend on its batch.
 """
 
 from __future__ import annotations
@@ -182,6 +182,11 @@ def _batch_ranked_zeta(a: np.ndarray, m: int, mod=None, ranks=None):
     return ranks, out
 
 
+def _sumset(a, b, keep) -> list[int]:
+    """The sorted ranks i + j, i in a and j in b, that are in `keep`."""
+    return sorted({i + j for i in a for j in b}.intersection(keep))
+
+
 def _batch_rank_mult(a, b, m: int, mod=None, keep=None):
     """Product of two (ranks, table[, floors]) rank polynomials; returns
     (ranks, table, floors).  Builds the ranks k in the sumset of the
@@ -198,8 +203,7 @@ def _batch_rank_mult(a, b, m: int, mod=None, keep=None):
     (ranks_a, table_a, *floors_a), (ranks_b, table_b, *floors_b) = a, b
     floors_a, floors_b = (floors_a or [ranks_a])[0], (floors_b or [ranks_b])[0]
     slot_b = {r: j for j, r in enumerate(ranks_b)}
-    keep = set(range(m + 1) if keep is None else keep)
-    ranks = sorted({i + j for i in ranks_a for j in ranks_b} & keep)
+    ranks = _sumset(ranks_a, ranks_b, range(m + 1) if keep is None else keep)
     pairs = [[(ia, slot_b[k - i]) for ia, i in enumerate(ranks_a) if k - i in slot_b] for k in ranks]
     floors = [[max(floors_a[ia], floors_b[ib]) for ia, ib in terms] for terms in pairs]
     trials = math.prod(table_a.shape[2:])
@@ -225,10 +229,38 @@ def _batch_rank_mult(a, b, m: int, mod=None, keep=None):
     return ranks, out, [min(row_floors) for row_floors in floors]
 
 
-def _ranked_moebius(prod, m: int, mod=None) -> np.ndarray:
-    """h (2^m, ...) from a (ranks, table, floors) product in the zeta
-    domain: h(S) is the Moebius transform of the rank-|S| row at S, and 0
-    at masks whose rank has no row.  The rows are inverted in place."""
+def _fold_plan(supports: list[list[int]], need, m: int) -> tuple[list[list[int]], list[list[int]]]:
+    """(tables, products): the ranks of each factor's zeta table and of each
+    product f_1 * ... * f_j (j >= 2) in a fold of factors with rank supports
+    `supports`, wanted at the ranks in `need`.  A rank is kept only if ranks
+    of the other factors bring it to a needed one, so none is negative,
+    above m or unused, and equal factors in a run get equal tables."""
+    rests = [[0]]  # rests[i]: the ranks of the product of the last i factors
+    for s in reversed(supports[1:]):
+        rests.append(_sumset(rests[-1], s, range(m + 1)))
+    tables, products = [], [[0]]
+    for s, rest in zip(supports, reversed(rests)):
+        keep = _sumset(need, [-r for r in rest], range(m + 1))  # the ranks that rest brings into need
+        tables.append(_sumset(keep, [-r for r in products[-1]], s))
+        products.append(_sumset(products[-1], tables[-1], keep))
+    return tables, products[2:]
+
+
+def _fold(arrays, m: int, mod, need) -> np.ndarray:
+    """h (2^m, ...): the subset convolution of two or more (..., 2^m) arrays
+    at the masks whose rank is in `need`, 0 elsewhere.  Runs _fold_plan:
+    zeta tables (one for a run of one repeated array object), products in
+    the zeta domain, and a trimmed Moebius transform of the last."""
+    supports = []
+    for j, a in enumerate(arrays):
+        supports.append(supports[-1] if j and a is arrays[j - 1] else _rank_support(a, m))
+    tables, products = _fold_plan(supports, need, m)
+    prod = prev = None
+    for a, ranks, built in zip(arrays, tables, [None] + products):
+        if a is not prev:
+            table, prev = _batch_ranked_zeta(a, m, mod, ranks), a
+        prod = table if built is None else _batch_rank_mult(prod, table, m, mod, built)
+    del table
     ranks, table, floors = prod
     _batch_zeta_inplace(table, m, inverse=True, ranks=ranks, floors=floors)
     rows, masks = _rank_slots(ranks, m)
@@ -237,24 +269,14 @@ def _ranked_moebius(prod, m: int, mod=None) -> np.ndarray:
     return h
 
 
-def _batch_subset_convolve(pair, m: int, mod=None) -> np.ndarray:
-    tables = (_batch_ranked_zeta(h, m, mod) for h in pair)
-    return np.moveaxis(_ranked_moebius(_batch_rank_mult(*tables, m, mod), m, mod), 0, -1)
-
-
 def batch_corner_value(fs, m: int, mod=None) -> np.ndarray:
     """Corner convolution of a batch of function tuples.
 
     fs has shape (n, ..., 2^m), or is a list of n such arrays; returns
     shape (...).  The corner is the sum over masks S of h(S) f_n(S^c),
     where h = f_1 * ... * f_(n-1) is their subset convolution (h = f_1
-    for n = 2, and for n = 1 the corner is f_1 at the full mask).  Only
-    the ranks i with f_n nonzero at some (m-i)-element mask are needed.
-    The fold multiplies rank polynomials in the zeta domain, on the ranks
-    that the other factors can still bring to a needed one; its last
-    product builds only the needed ranks, which a trimmed Moebius
-    transform inverts.  f_n is only read.  A run of one repeated array object (f_1 = ... = f_(n-1) in
-    counting) is rank-tabulated once.
+    for n = 2, and for n = 1 the corner is f_1 at the full mask), which
+    _fold builds at the ranks i where f_n is nonzero on some (m-i)-set.
 
     h times f_n reversed along the mask axis is summed by halving the
     mask axis m times.  Every step is elementwise (a BLAS dot would not
@@ -270,29 +292,7 @@ def batch_corner_value(fs, m: int, mod=None) -> np.ndarray:
     if n == 2:
         h = np.multiply(np.moveaxis(fs[0], -1, 0), last, out=np.empty(last.shape, dtype=last.dtype))
     else:
-        fold, supports = list(fs[:-1]), []
-        for j, a in enumerate(fold):
-            supports.append(supports[-1] if j and a is fold[j - 1] else _rank_support(a, m))
-        need = _rank_support(fs[-1][..., ::-1], m)
-        if not need or not all(supports):
-            return np.zeros(last.shape[1:], dtype=last.dtype)
-        # A rank is built only if the least and largest ranks of the other
-        # factors can still bring it into [need[0], need[-1]].
-        total_lo, total_hi = sum(s[0] for s in supports), sum(s[-1] for s in supports)
-        rest_lo, rest_hi = total_lo, total_hi  # of the factors after j
-        prod = prev = table = None
-        for j, (a, s) in enumerate(zip(fold, supports)):
-            rest_lo, rest_hi = rest_lo - s[0], rest_hi - s[-1]
-            if a is not prev:
-                lo, hi = need[0] - (total_hi - s[-1]), need[-1] - (total_lo - s[0])
-                table, prev = _batch_ranked_zeta(a, m, mod, [r for r in s if lo <= r <= hi]), a
-            if prod is None:
-                prod = table
-            else:
-                keep = need if j == n - 2 else range(need[0] - rest_hi, need[-1] - rest_lo + 1)
-                prod = _batch_rank_mult(prod, table, m, mod, keep)
-        del table
-        h = _ranked_moebius(prod, m, mod)
+        h = _fold(list(fs[:-1]), m, mod, _rank_support(fs[-1][..., ::-1], m))
         h *= last
     if mod:
         h %= mod
@@ -332,12 +332,11 @@ def moebius(g: CubeFunction) -> CubeFunction:
 def subset_convolve(f: CubeFunction, g: CubeFunction) -> CubeFunction:
     """h(S) = sum over disjoint A, B with A | B = S of f(A) g(B).
 
-    O(2^m m^2) via ranked zeta, rank-wise multiplication, ranked Moebius;
-    exact in integer flavor.
+    O(2^m m^2) via _fold at every rank; exact in integer flavor.
     """
     _check_compatible(f, g)
     # fixing A fixes B = S \ A, so |h(S)| <= sum|f| max|g|, and likewise swapped: _corner_bound
-    out, _ = _evaluate([f, g], functools.partial(_batch_subset_convolve, m=f.m), _corner_bound)
+    out, _ = _evaluate([f, g], functools.partial(_fold, m=f.m, need=range(f.m + 1)), _corner_bound)
     return CubeFunction(f.m, out, f.flavor)
 
 

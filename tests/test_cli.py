@@ -320,6 +320,17 @@ class TestVerifyCommand:
         assert out["lhs"] == pytest.approx(2.0)
         assert out["max_ratio"] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_functions_and_witness_together_exit_2(self, tmp_path, capsys, order):
+        path = tmp_path / "fns.txt"
+        path.write_text("m=1 count=2\n1.0 1.0\n1.0 1.0\n")
+        modes = [["--functions", str(path)], ["--witness"]]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", *modes[order], *modes[1 - order]])
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (2, "")
+        assert "not allowed with argument" in captured.err
+
     @pytest.mark.parametrize(
         "rows",
         [
