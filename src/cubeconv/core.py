@@ -87,13 +87,14 @@ class CubeFunction:
     def values(self) -> tuple:
         return tuple(self.table.tolist())
 
-    def __eq__(self, other):
+    def __eq__(self, other):  # by flavor and table, whose length fixes m; -0.0 == 0.0, and f == f holds with nan
         if not isinstance(other, CubeFunction):
             return NotImplemented
-        return (self.m, self.flavor, self.values) == (other.m, other.flavor, other.values)
+        return self is other or self.flavor == other.flavor and np.array_equal(self.table, other.table)
 
-    def __hash__(self):
-        return hash((self.m, self.flavor, self.values))
+    def __hash__(self):  # + 0 turns -0.0 into 0.0; an object table hashes its Python ints
+        table = self.table + 0
+        return hash((self.flavor, tuple(table) if table.dtype == object else table.tobytes()))
 
     @classmethod
     def indicator(cls, m: int, masks) -> "CubeFunction":

@@ -98,6 +98,11 @@ def crit_residual(y, params: HoelderParams) -> tuple[float, float]:
     return residual, identity_gap
 
 
+def _last_value(n, k, z, r):
+    """last_value's formula for floats or arrays k and z, unchecked."""
+    return (n - 1) * np.log(z) + (n - k) * np.log((n - k) / ((n - 1) * z - k)) - r * np.log(z / (z - 1.0))
+
+
 def last_value(n: int, k: int, z: float, params: HoelderParams) -> float:
     """Final scalar inequality value at a critical configuration:
     (n-1) ln z + (n-k) ln((n-k)/((n-1)z-k)) - r ln(z/(z-1))."""
@@ -105,20 +110,15 @@ def last_value(n: int, k: int, z: float, params: HoelderParams) -> float:
         raise ValueError(f"need 1 <= k <= n-1, got k={k}")
     if z <= 1.0 or (n - 1) * z - k <= 0:
         raise ValueError(f"nonpositive logarithm argument at z={z}")
-    r = params.r
-    return (
-        (n - 1) * math.log(z)
-        + (n - k) * math.log((n - k) / ((n - 1) * z - k))
-        - r * math.log(z / (z - 1.0))
-    )
+    return float(_last_value(n, k, z, params.r))
 
 
 def k_monotonicity_check(n: int, z: float, params: HoelderParams) -> bool:
     """k -> (n-k) ln((n-k)/((n-1)z-k)) is nondecreasing on 1..n-1."""
     if z <= n / (n - 1):
         raise ValueError(f"need z > n/(n-1), got {z}")
-    vals = [(n - k) * math.log((n - k) / ((n - 1) * z - k)) for k in range(1, n)]
-    return all(b - a >= -1e-12 for a, b in zip(vals, vals[1:]))
+    # the last value's other two terms do not depend on k
+    return bool(np.all(np.diff(_last_value(n, np.arange(1, n), z, params.r)) >= -1e-12))
 
 
 def z_ratio_monotonicity_check(n: int, z1: float, z2: float) -> bool:
@@ -137,8 +137,8 @@ class CriticalPointReport:
     """Solution of the two-value critical system for one (n, k).
 
     status is "ok", "no-root" (the z-equation never changes sign on the
-    admissible interval), or "domain-violation" (the v formula goes
-    negative).  Numeric fields are None unless status is "ok".
+    admissible interval), or "domain-violation" (the pole k/(k-1) lies
+    at or below 1+r).  Numeric fields are None unless status is "ok".
     """
 
     n: int
@@ -153,16 +153,6 @@ class CriticalPointReport:
     last_value: float | None = None
     sum_log_gap: float | None = None  # sum ln y_i - ln sum y_i at (u, v)
     extra_sign_changes: int = 0
-
-
-def _z_equation_gap(z: float, n: int, k: int, r: float) -> float | None:
-    """LHS minus RHS of the z-equation
-    (z-1)^r (n-k)^{r+1} / (z(1-k)+k)^r = (n-1)z - k;
-    None outside the admissible domain (nonpositive denominator)."""
-    denom = z * (1 - k) + k
-    if denom <= 0:
-        return None
-    return (z - 1.0) ** r * (n - k) ** (r + 1.0) / denom**r - ((n - 1) * z - k)
 
 
 def _bisect(gap, lo, hi, f_lo):
@@ -184,10 +174,12 @@ def solve_critical_system(n: int, k: int, params: HoelderParams) -> CriticalPoin
     """Solve the z-equation for z >= 1+r, derive u = z^{1/r} and v, and
     evaluate all residuals of the stationarity system.
 
-    Roots are located on a geometric scan of [1+r, cap] clipped to the
-    domain where the v numerator stays positive, then refined by
-    bisection.  Absence of a root or a negative v numerator is reported,
-    not raised: inadmissible (n, k) pairs are information.
+    The z-equation is evaluated once, as an array, on a geometric scan
+    of [1+r, cap] stopping short of the pole k/(k-1); the first sign
+    change is bisected and later ones are counted.  No root, or a pole
+    at or below 1+r, is reported, not raised: inadmissible (n, k) pairs
+    are information.  Below the pole z(1-k)+k > 0, and u^r = z keeps
+    the v numerator u (k - (k-1) u^r) positive.
     """
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k}")
@@ -202,48 +194,32 @@ def solve_critical_system(n: int, k: int, params: HoelderParams) -> CriticalPoin
             return CriticalPointReport(n=n, k=k, r=r, status="domain-violation")
         hi_cap = min(hi_cap, pole * (1.0 - 1e-12))
 
-    gap = lambda z: _z_equation_gap(z, n, k, r)
-    f_lo = gap(lo)
-    if f_lo is None:
-        return CriticalPointReport(n=n, k=k, r=r, status="domain-violation")
-    if abs(f_lo) < 1e-12:
+    def gap(z):
+        """LHS minus RHS of the z-equation (z-1)^r (n-k)^{r+1} / (z(1-k)+k)^r
+        = (n-1)z - k, for a float or an array z where z(1-k)+k > 0."""
+        return (z - 1.0) ** r * (n - k) ** (r + 1.0) / (z * (1 - k) + k) ** r - ((n - 1) * z - k)
+
+    extra = 0
+    if abs(gap(lo)) < 1e-12:
         # degenerate case (n=2): the equation holds identically at the
         # left endpoint; take z = 1+r
         z = lo
     else:
         zs = np.geomspace(lo, hi_cap, _SCAN_POINTS)
-        vals = [gap(z) for z in zs]
-        bracket = None
-        extra = 0
-        prev_z, prev_v = zs[0], vals[0]
-        for zi, vi in zip(zs[1:], vals[1:]):
-            if vi is None:
-                break
-            if (prev_v > 0) != (vi > 0):
-                if bracket is None:
-                    bracket = (prev_z, zi, prev_v)
-                else:
-                    extra += 1
-            prev_z, prev_v = zi, vi
-        if bracket is None:
+        vals = gap(zs)
+        changes = np.flatnonzero((vals[1:] > 0) != (vals[:-1] > 0))
+        if not len(changes):
             return CriticalPointReport(n=n, k=k, r=r, status="no-root")
-        z = _bisect(gap, *bracket)
-        return _finish_report(n, k, params, z, extra)
-    return _finish_report(n, k, params, z, 0)
-
-
-def _finish_report(n, k, params, z, extra_sign_changes):
-    r = params.r
+        i = changes[0]
+        z = _bisect(gap, zs[i], zs[i + 1], vals[i])
+        extra = len(changes) - 1
     z = float(z)
     u = z ** (1.0 / r)
     numerator = u ** (r + 1.0) * (1 - k) + k * u
-    if numerator < 0:
-        return CriticalPointReport(n=n, k=k, r=r, status="domain-violation", z=z)
     v_direct = numerator / ((u**r - 1.0) * (n - k))
-    v_closed = (z * (n - k) / ((n - 1) * z - k)) ** (1.0 / r)
-    if abs(v_direct - v_closed) > 1e-9 * max(1.0, v_closed):
-        raise AssertionError(f"v cross-check failed at (n={n}, k={k}): {v_direct} vs {v_closed}")
-    v = v_closed
+    v = (z * (n - k) / ((n - 1) * z - k)) ** (1.0 / r)
+    if abs(v_direct - v) > 1e-9 * max(1.0, v):
+        raise AssertionError(f"v cross-check failed at (n={n}, k={k}): {v_direct} vs {v}")
     y = [u] * k + [v] * (n - k)
     residual, identity_gap = (float(t) for t in crit_residual(y, params))
     total = sum(y)
@@ -260,7 +236,7 @@ def _finish_report(n, k, params, z, extra_sign_changes):
         identity_gap=identity_gap,
         last_value=last_value(n, k, z, params),
         sum_log_gap=sum_log_gap,
-        extra_sign_changes=extra_sign_changes,
+        extra_sign_changes=extra,
     )
 
 
@@ -277,11 +253,7 @@ def scan_last_value(n: int, params: HoelderParams, grid: int = 10_000) -> dict:
     zs = np.geomspace(z_lo, SCAN_Z_MAX, grid)
     per_k = {}
     for k in range(1, n):
-        vals = (
-            (n - 1) * np.log(zs)
-            + (n - k) * np.log((n - k) / ((n - 1) * zs - k))
-            - r * np.log(zs / (zs - 1.0))
-        )
+        vals = _last_value(n, k, zs, r)
         i = int(np.argmin(vals))
         per_k[k] = {"min_value": float(vals[i]), "argmin_z": float(zs[i])}
     overall = min(d["min_value"] for d in per_k.values())

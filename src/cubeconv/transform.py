@@ -74,17 +74,19 @@ def _evaluate(fs: list[CubeFunction], kernel, bound) -> tuple[np.ndarray, str]:
     array and the name of the path taken.  The kernel allocates with its
     inputs' dtype: float64 in real flavor, int64 residues in integer.
 
-    Real flavor runs once on float64.  Integer flavor is exact: bound()
-    maps each function's (sum |f|, max |f|) to B >= |result|.  The wrapped
-    int64 pass (mod 2^64) is exact when 2B < 2^64; otherwise prime passes
-    join until the moduli multiply past 2B, and the CRT rebuilds each
-    value.  A function repeated in fs reaches the kernel as one array, so
-    the kernel can tabulate it once."""
+    Real flavor runs once on float64 and refuses non-finite values.
+    Integer flavor is exact: bound() maps each function's (sum |f|,
+    max |f|) to B >= |result|.  The wrapped int64 pass (mod 2^64) is exact
+    when 2B < 2^64; otherwise prime passes join until the moduli multiply
+    past 2B, and the CRT rebuilds each value.  A function repeated in fs
+    reaches the kernel as one array, so the kernel can tabulate it once."""
 
     def ordered(arrays: dict) -> list[np.ndarray]:
         return [arrays[id(f)] for f in fs]
 
     if fs[0].flavor == REAL:
+        if not all(np.isfinite(f.table).all() for f in fs):  # the trimmed kernels skip +-0 x a finite value
+            raise ValueError("real-flavor values must be finite")
         return kernel([f.table for f in fs], mod=None), "float64"
     arrays = {id(f): f.table for f in fs}
     masses = {key: _mass(a) for key, a in arrays.items()}

@@ -150,13 +150,17 @@ def check_two_point(u, v, params: HoelderParams) -> InequalityCheck:
     return _verdict(lhs, rhs)
 
 
+def _power_sum(x: list, p: float) -> float:
+    """(sum x_i^(1/p))^p of nonnegative x_i."""
+    return sum(v ** (1.0 / p) for v in x) ** p
+
+
 def check_lemma_mine(x, params: HoelderParams) -> InequalityCheck:
     """(sum x_i^(1/p))^p <= prod (1 + x_i) for nonnegative x_i."""
     x = list(x)
     if any(v < 0 for v in x):
         raise ValueError("lemma check needs nonnegative inputs")
-    p = params.p
-    lhs = sum(v ** (1.0 / p) for v in x) ** p
+    lhs = _power_sum(x, params.p)
     rhs = math.prod(1.0 + v for v in x)
     return _verdict(lhs, rhs)
 
@@ -168,9 +172,7 @@ def check_p_monotonicity(x, p_low: float, p_high: float) -> bool:
     x = list(x)
     if any(v < 0 for v in x):
         raise ValueError("needs nonnegative inputs")
-    low = sum(v ** (1.0 / p_low) for v in x) ** p_low
-    high = sum(v ** (1.0 / p_high) for v in x) ** p_high
-    return _passes(low, high)
+    return _passes(_power_sum(x, p_low), _power_sum(x, p_high))
 
 
 def equality_witness(n: int, m: int) -> list[CubeFunction]:

@@ -74,6 +74,20 @@ class TestTable:
         f, g = CubeFunction(1, [-0.0, 1.0]), CubeFunction(1, [0.0, 1.0])
         assert f == g and hash(f) == hash(g)
 
+    def test_equality_and_hash_read_the_table(self):
+        f, g = CubeFunction(2, [0.5, -0.0, 1e300, -3.25]), CubeFunction(2, [0.5, 0.0, 1e300, -3.25])
+        assert f == g and hash(f) == hash(g)
+        assert "values" not in vars(f) and "values" not in vars(g)
+        big = [3**50, -(2**70), 0, 1]  # an object table hashes its Python ints
+        assert CubeFunction(2, big, INT) == CubeFunction(2, np.array(big, dtype=object), INT)
+        assert hash(CubeFunction(2, big, INT)) == hash(CubeFunction(2, list(big), INT))
+        assert CubeFunction(2, big, INT) != CubeFunction(2, big[:3] + [2], INT)
+        assert CubeFunction(1, [2**70, 1], INT) != CubeFunction(2, big, INT)
+
+    def test_a_table_holding_nan_equals_itself(self):
+        f = CubeFunction(1, [math.nan, 1.0])
+        assert f == f and hash(f) == hash(f)
+
     def test_nested_input_rejected(self):
         with pytest.raises(ValueError, match="need exactly 2 values, got 4"):
             CubeFunction(1, [[1, 2], [3, 4]], INT)

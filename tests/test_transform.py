@@ -123,6 +123,35 @@ class TestZetaMoebius:
             assert got == pytest.approx(want, abs=1e-12)
 
 
+class TestNonFiniteRealInput:
+    """The trimmed kernels skip terms as +-0 times a finite value, so a
+    real input holding inf or nan is refused before any kernel runs."""
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_every_real_transform_refuses_it(self, bad):
+        f, g = CubeFunction(2, [1.0, bad, 2.0, 3.0]), CubeFunction(2, [1.0, 1.0, 1.0, 1.0])
+        calls = [
+            lambda: zeta(f),
+            lambda: moebius(f),
+            lambda: subset_convolve(f, g),
+            lambda: subset_convolve(g, f),
+            lambda: corner_convolution([f]),
+            lambda: corner_convolution([g, f]),
+            lambda: corner_convolution([g, g, f]),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="real-flavor values must be finite"):
+                call()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_a_zero_factor_against_inf_is_refused_at_every_n(self, n):
+        # unchecked, the trimmed fold read nan at n=2 and 0.0 at n=3 on these inputs
+        zero, mid = CubeFunction(2, [0.0] * 4), CubeFunction(2, [1.0, 2.0, 3.0, 4.0])
+        last = CubeFunction(2, [math.inf, 1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="real-flavor values must be finite"):
+            corner_convolution([zero, mid, last][3 - n :])
+
+
 class TestRankedZeta:
     def test_rank_rows_are_cardinality_restricted_sums(self):
         rng = random.Random(3)

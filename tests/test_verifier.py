@@ -419,6 +419,25 @@ class TestPieces:
         assert sides == serial_sides  # every chunk's lhs and rhs, joined in trial order
         assert caller in threads and len(threads) >= 2
 
+    def test_the_caller_takes_every_piece_no_helper_has_claimed(self, monkeypatch):
+        """A helper that never starts (its CPU lent elsewhere) leaves its
+        pieces to the caller, which does not wait for it."""
+
+        class IdleHelper:
+            def result(self):
+                raise AssertionError("the caller waited for a helper that claimed nothing")
+
+        class IdlePool:
+            def submit(self, fn):
+                return IdleHelper()
+
+        config = TrialConfig(n=5, m=4, trials=300, seed=8, distribution="sparse", signed=True)
+        force_pieces(monkeypatch, 1)
+        serial = run_trials(config, chunk=128)
+        monkeypatch.setitem(verifier._pools, os.getpid(), IdlePool())
+        force_pieces(monkeypatch, 3)
+        assert run_trials(config, chunk=128) == serial
+
     def test_a_failing_helper_piece_reaches_the_caller(self, monkeypatch):
         caller, corner = threading.current_thread(), verifier.batch_corner_value
         helper_in = threading.Event()
