@@ -8,10 +8,12 @@ integer flavor exactly on int64 residues, in one pass that wraps mod 2^64
 and, when a bound on |result| needs more, passes mod primes below 2^31
 joined by the Chinese remainder theorem.
 
-One fold serves both convolutions: _fold_plan picks, in Python ints, the
+One fold serves every convolution: _fold_plan picks, in Python ints, the
 ranks each table and product holds, those that reach a wanted rank of h,
 and _fold runs the plan.  subset_convolve wants every rank; the corner,
-sum_S h(S) f_n(S^c), wants the ranks that f_n meets and only reads f_n.
+sum_S h(S) f_n(S^c), wants the ranks that f_n meets and only reads f_n;
+indicator_power_sum tabulates a set family from its members and reads h
+at them.
 
 Rank tables are mask-major, (ranks, 2^m, trials...).  The kernel works in
 cache-sized pieces and skips only adds of exact zeros and outputs nothing
@@ -27,7 +29,7 @@ import math
 
 import numpy as np
 
-from .core import REAL, CubeFunction, fit_rank_table, popcounts
+from .core import REAL, CubeFunction, SetFamily, fit_rank_table, popcounts
 
 # Modulus of the first residue pass: int64 arithmetic wraps around mod 2^64.
 WORD = 2**64
@@ -69,16 +71,36 @@ def _mass(a: np.ndarray) -> tuple[int, int]:
     return (int((mag >> 32).sum()) << 32) + int((mag & 0xFFFFFFFF).sum()), peak
 
 
-def _evaluate(fs: list[CubeFunction], kernel, bound) -> tuple[np.ndarray, str]:
+def _evaluate(residue, bound: int) -> tuple[np.ndarray, str]:
+    """The exact integer result of a kernel, given B = bound >= |result|
+    and residue(mod), the result mod `mod` as int64 (mod None: the wrapped
+    int64 pass, mod 2^64); returns it and the name of the path taken.
+
+    The wrapped pass is exact when 2B < 2^64; otherwise prime passes join
+    until the moduli multiply past 2B, and the CRT rebuilds each value."""
+    limit = 2 * bound
+    value = np.atleast_1d(residue(None))
+    if limit < WORD:
+        return value, "int64"
+    value, modulus, count = value.view(np.uint64).astype(object), WORD, 1
+    while modulus <= limit:
+        p = _prime(count - 1)
+        # Garner step: value + modulus * t also matches this pass mod p.
+        step = (np.atleast_1d(residue(p)) - (value % p).astype(np.int64)) % p
+        t = step * pow(modulus % p, -1, p) % p
+        value = value + modulus * t.astype(object)
+        modulus, count = modulus * p, count + 1
+    return np.where(value > modulus // 2, value - modulus, value), f"int64-crt{count}"
+
+
+def _evaluate_functions(fs: list[CubeFunction], kernel, bound) -> tuple[np.ndarray, str]:
     """Run kernel(arrays, mod=...) on the tables of fs; return the result
     array and the name of the path taken.  The kernel allocates with its
     inputs' dtype: float64 in real flavor, int64 residues in integer.
 
     Real flavor runs once on float64 and refuses non-finite values.
-    Integer flavor is exact: bound() maps each function's (sum |f|,
-    max |f|) to B >= |result|.  The wrapped int64 pass (mod 2^64) is exact
-    when 2B < 2^64; otherwise prime passes join until the moduli multiply
-    past 2B, and the CRT rebuilds each value.  A function repeated in fs
+    Integer flavor is exact (_evaluate): bound() maps each function's
+    (sum |f|, max |f|) to B >= |result|.  A function repeated in fs
     reaches the kernel as one array, so the kernel can tabulate it once."""
 
     def ordered(arrays: dict) -> list[np.ndarray]:
@@ -90,24 +112,11 @@ def _evaluate(fs: list[CubeFunction], kernel, bound) -> tuple[np.ndarray, str]:
         return kernel([f.table for f in fs], mod=None), "float64"
     arrays = {id(f): f.table for f in fs}
     masses = {key: _mass(a) for key, a in arrays.items()}
-    limit = 2 * bound(ordered(masses))
 
     def residue(mod):
-        reduced = {key: _residues(a, mod) for key, a in arrays.items()}
-        return np.atleast_1d(kernel(ordered(reduced), mod=mod))
+        return kernel(ordered({key: _residues(a, mod) for key, a in arrays.items()}), mod=mod)
 
-    value = residue(None)
-    if limit < WORD:
-        return value, "int64"
-    value, modulus, count = value.view(np.uint64).astype(object), WORD, 1
-    while modulus <= limit:
-        p = _prime(count - 1)
-        # Garner step: value + modulus * t also matches this pass mod p.
-        step = (residue(p) - (value % p).astype(np.int64)) % p
-        t = step * pow(modulus % p, -1, p) % p
-        value = value + modulus * t.astype(object)
-        modulus, count = modulus * p, count + 1
-    return np.where(value > modulus // 2, value - modulus, value), f"int64-crt{count}"
+    return _evaluate(residue, bound(ordered(masses)))
 
 
 # ---------------------------------------------------------------------------
@@ -152,13 +161,16 @@ def _batch_zeta_inplace(a: np.ndarray, m: int, inverse: bool = False, ranks=None
                 op(w[:, :, 1], w[:, :, 0], out=w[:, :, 1])
 
 
-def _rank_slots(ranks: list[int], m: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, masks): the masks whose rank is in `ranks`, and the row of
-    each in a table that holds just those ranks."""
+def _rank_slots(ranks: list[int], m: int, masks=None) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, masks): the masks (of `masks`, default all 2^m) whose rank is
+    in `ranks`, and the row of each in a table that holds just those ranks."""
     pc = popcounts(m)
     row = np.full(m + 1, -1)
     row[ranks] = np.arange(len(ranks))
-    masks = np.flatnonzero((row >= 0)[pc])  # a gather of 1-byte bools, not of int64 rows
+    if masks is None:
+        masks = np.flatnonzero((row >= 0)[pc])  # a gather of 1-byte bools, not of int64 rows
+    else:
+        masks = masks[(row >= 0)[pc[masks]]]
     return row[pc[masks]], masks
 
 
@@ -181,6 +193,18 @@ def _batch_ranked_zeta(a: np.ndarray, m: int, mod=None, ranks=None):
     _batch_zeta_inplace(out, m, ranks=ranks)  # at most 2^m * mod < 2^53 before reducing
     if mod:
         out %= mod
+    return ranks, out
+
+
+def _member_zeta(members: np.ndarray, m: int, mod, ranks: list[int]):
+    """_batch_ranked_zeta of the indicator of `members` (distinct int64
+    masks), scattered from the members with no 2^m indicator.  Its values
+    are at most 2^m < mod, so `mod` does not reduce them."""
+    fit_rank_table(len(ranks), m)
+    rows, masks = _rank_slots(ranks, m, members)
+    out = np.zeros((len(ranks), 1 << m), dtype=np.int64)
+    out[rows, masks] = 1
+    _batch_zeta_inplace(out, m, ranks=ranks)
     return ranks, out
 
 
@@ -248,27 +272,52 @@ def _fold_plan(supports: list[list[int]], need, m: int) -> tuple[list[list[int]]
     return tables, products[2:]
 
 
-def _fold(arrays, m: int, mod, need) -> np.ndarray:
-    """h (2^m, ...): the subset convolution of two or more (..., 2^m) arrays
-    at the masks whose rank is in `need`, 0 elsewhere.  Runs _fold_plan:
-    zeta tables (one for a run of one repeated array object), products in
-    the zeta domain, and a trimmed Moebius transform of the last."""
-    supports = []
-    for j, a in enumerate(arrays):
-        supports.append(supports[-1] if j and a is arrays[j - 1] else _rank_support(a, m))
+def _fold(factors, supports: list[list[int]], need, m: int, mod, tabulate):
+    """(ranks, table): the subset convolution f_1 * ... * f_k (k >= 2) at
+    the ranks in `need` that it can reach, one row a rank, each row read
+    only at masks of its rank.  Runs _fold_plan on the factors' rank
+    supports: tabulate(factor, m, mod, ranks) builds a zeta table (one for
+    a run of one repeated factor object), products in the zeta domain,
+    and a trimmed Moebius transform of the last."""
     tables, products = _fold_plan(supports, need, m)
     prod = prev = None
-    for a, ranks, built in zip(arrays, tables, [None] + products):
+    for a, ranks, built in zip(factors, tables, [None] + products):
         if a is not prev:
-            table, prev = _batch_ranked_zeta(a, m, mod, ranks), a
+            table, prev = tabulate(a, m, mod, ranks), a
         prod = table if built is None else _batch_rank_mult(prod, table, m, mod, built)
     del table
     ranks, table, floors = prod
     _batch_zeta_inplace(table, m, inverse=True, ranks=ranks, floors=floors)
+    return ranks, table
+
+
+def _convolve(arrays, m: int, mod, need) -> np.ndarray:
+    """h (2^m, ...): the subset convolution of two or more (..., 2^m) arrays
+    at the masks whose rank is in `need`, 0 elsewhere."""
+    supports = []
+    for j, a in enumerate(arrays):
+        supports.append(supports[-1] if j and a is arrays[j - 1] else _rank_support(a, m))
+    ranks, table = _fold(arrays, supports, need, m, mod, _batch_ranked_zeta)
     rows, masks = _rank_slots(ranks, m)
     h = np.zeros(table.shape[1:], dtype=table.dtype)
     h[masks] = table[rows, masks] % mod if mod else table[rows, masks]
     return h
+
+
+def _member_sum(members: np.ndarray, m: int, k: int, mod) -> np.ndarray:
+    """sum over A in `members` of h(A), h the k-fold subset convolution of
+    their indicator, mod `mod` (None: wrapped int64).  Nothing but the
+    fold's own tables spans 2^m: the supports and the sum read only the
+    members."""
+    if k == 1:  # h is the indicator
+        return np.int64(len(members))
+    support = np.flatnonzero(np.bincount(popcounts(m)[members], minlength=m + 1)).tolist()
+    ranks, table = _fold([members] * k, [support] * k, support, m, mod, _member_zeta)
+    rows, masks = _rank_slots(ranks, m, members)
+    values = table[rows, masks]
+    if mod:
+        values %= mod  # from below 2^m * mod in magnitude into [0, mod), so the sum stays below 2^m * mod
+    return values.sum() % mod if mod else values.sum()
 
 
 def batch_corner_value(fs, m: int, mod=None) -> np.ndarray:
@@ -278,7 +327,7 @@ def batch_corner_value(fs, m: int, mod=None) -> np.ndarray:
     shape (...).  The corner is the sum over masks S of h(S) f_n(S^c),
     where h = f_1 * ... * f_(n-1) is their subset convolution (h = f_1
     for n = 2, and for n = 1 the corner is f_1 at the full mask), which
-    _fold builds at the ranks i where f_n is nonzero on some (m-i)-set.
+    _convolve builds at the ranks i where f_n is nonzero on some (m-i)-set.
 
     h times f_n reversed along the mask axis is summed by halving the
     mask axis m times.  Every step is elementwise (a BLAS dot would not
@@ -294,7 +343,7 @@ def batch_corner_value(fs, m: int, mod=None) -> np.ndarray:
     if n == 2:
         h = np.multiply(np.moveaxis(fs[0], -1, 0), last, out=np.empty(last.shape, dtype=last.dtype))
     else:
-        h = _fold(list(fs[:-1]), m, mod, _rank_support(fs[-1][..., ::-1], m))
+        h = _convolve(list(fs[:-1]), m, mod, _rank_support(fs[-1][..., ::-1], m))
         h *= last
     if mod:
         h %= mod
@@ -317,7 +366,7 @@ def _lattice_transform(f: CubeFunction, inverse: bool) -> CubeFunction:
         return out[0] % mod if mod else out[0]
 
     # Every output is a signed sum of distinct inputs: |out| <= sum |f|.
-    out, _ = _evaluate([f], kernel, lambda masses: masses[0][0])
+    out, _ = _evaluate_functions([f], kernel, lambda masses: masses[0][0])
     return CubeFunction(f.m, out, f.flavor)
 
 
@@ -334,11 +383,11 @@ def moebius(g: CubeFunction) -> CubeFunction:
 def subset_convolve(f: CubeFunction, g: CubeFunction) -> CubeFunction:
     """h(S) = sum over disjoint A, B with A | B = S of f(A) g(B).
 
-    O(2^m m^2) via _fold at every rank; exact in integer flavor.
+    O(2^m m^2) via _convolve at every rank; exact in integer flavor.
     """
     _check_compatible(f, g)
     # fixing A fixes B = S \ A, so |h(S)| <= sum|f| max|g|, and likewise swapped: _corner_bound
-    out, _ = _evaluate([f, g], functools.partial(_fold, m=f.m, need=range(f.m + 1)), _corner_bound)
+    out, _ = _evaluate_functions([f, g], functools.partial(_convolve, m=f.m, need=range(f.m + 1)), _corner_bound)
     return CubeFunction(f.m, out, f.flavor)
 
 
@@ -353,9 +402,23 @@ def corner_convolution(fs: list[CubeFunction], *, with_kernel: bool = False):
         raise ValueError("need at least one function")
     for f in fs[1:]:
         _check_compatible(fs[0], f)
-    out, kernel = _evaluate(fs, functools.partial(batch_corner_value, m=fs[0].m), _corner_bound)
+    out, kernel = _evaluate_functions(fs, functools.partial(batch_corner_value, m=fs[0].m), _corner_bound)
     value = out.item()  # a Python float or int, by flavor
     return (value, kernel) if with_kernel else value
+
+
+def indicator_power_sum(family: SetFamily, k: int) -> tuple[int, str]:
+    """(sum over A in X of h(A), kernel) for the k-fold subset convolution
+    h = 1_X * ... * 1_X (k >= 1) of the indicator of the family X: the
+    number of k-tuples of disjoint members whose union is a member.
+
+    Exact on int64 residues; kernel names the path as corner_convolution
+    does, "int64" or "int64-crt<j>" (j moduli).  A k-tuple fixes its
+    union, so the sum is at most |X|^k, the _corner_bound of k + 1
+    indicators."""
+    members = family.members
+    out, kernel = _evaluate(functools.partial(_member_sum, members, family.m, k), len(members) ** k)
+    return out.item(), kernel
 
 
 def _corner_bound(masses) -> int:

@@ -1,16 +1,18 @@
 import math
 import random
+import tracemalloc
 from math import comb
 
 import numpy as np
 import pytest
 
-from cubeconv.core import SetFamily, exponent
+from cubeconv.core import SetFamily, exponent, family_to_functions
 from cubeconv.counting import (
     bound_report,
     count_disjoint_tuples,
     extremal_family,
 )
+from cubeconv.transform import corner_convolution
 
 
 def extremal_count_closed_form(n, t):
@@ -151,6 +153,66 @@ class TestLayeredFamilies:
                 assert count == sparse_subset_dp_count(fam.members, m, n), (m, layers, fam.members)
                 if n**m <= 5000:
                     assert count == count_disjoint_tuples(fam, n, "brute")
+
+
+class TestMemberCount:
+    """The count read at the members agrees with the corner of n indicators
+    (f_n the indicator of the complements), in count and in kernel."""
+
+    @staticmethod
+    def corner(fam, n):
+        return corner_convolution(family_to_functions(fam, n), with_kernel=True)
+
+    @staticmethod
+    def counted(fam, n):
+        rep = bound_report(fam, n)
+        return rep.count, rep.kernel
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_random_families(self, n):
+        rng = random.Random(f"members:{n}")
+        for _ in range(12):
+            m = rng.randint(1, 10)
+            masks = rng.sample(range(1 << m), rng.randint(1, min(1 << m, 40)))
+            if rng.random() < 0.5:
+                masks.append(0)
+            fam = SetFamily.from_masks(m, masks)
+            assert self.counted(fam, n) == self.corner(fam, n), (m, fam.members.tolist())
+
+    @pytest.mark.parametrize("m", [1, 5, 10])
+    def test_one_member_families(self, m):
+        for mask in {0, 1, (1 << m) - 1}:
+            fam = SetFamily(m, (mask,))
+            for n in (2, 3, 9):
+                # (A, A) always; for n >= 3, A = A u A u ... is disjoint only for A = {}
+                assert self.counted(fam, n) == self.corner(fam, n) == (int(n == 2 or mask == 0), "int64")
+
+    def test_the_empty_family(self):
+        for m, n in [(1, 2), (6, 3), (10, 9)]:
+            assert self.counted(SetFamily(m), n) == self.corner(SetFamily(m), n) == (0, "int64")
+
+    def test_a_count_past_int64_takes_the_crt(self):
+        rng = np.random.default_rng(12)
+        fam = SetFamily.from_masks(12, rng.integers(0, 1 << 12, 4000))
+        counted = self.counted(fam, 7)
+        assert counted[1] == "int64-crt2"
+        assert counted == self.corner(fam, 7)
+        assert counted[0] == sparse_subset_dp_count(fam.members.tolist(), 12, 7)
+
+    @pytest.mark.parametrize("n,t", [(3, 6), (6, 3), (9, 2)])
+    def test_a_count_at_m18_holds_few_tables(self, n, t):
+        """Peak traced memory of a layered count stays under 3.5 tables of
+        2^m int64 values: the fold's three live rank rows, and no dense
+        indicator or h table."""
+        fam = extremal_family(n, t)
+        tracemalloc.start()
+        try:
+            rep = bound_report(fam, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.count == extremal_count_closed_form(n, t)
+        assert peak < 3.5 * 8 * 2**18, peak / (8 * 2**18)
 
 
 class TestBoundReport:

@@ -14,22 +14,23 @@ from cubeconv.transform import _fold_plan, corner_convolution, subset_convolve
 
 
 def spy(monkeypatch):
-    """Record the ranks of each zeta table and each rank product built."""
+    """Record the ranks of each zeta table (from arrays or from a family's
+    members) and each rank product built."""
     built = {"zeta": [], "product": []}
-    zeta, mult = transform._batch_ranked_zeta, transform._batch_rank_mult
 
-    def ranked_zeta(*args, **kwargs):
-        out = zeta(*args, **kwargs)
-        built["zeta"].append(out[0])
-        return out
+    def record(name, kind):
+        original = getattr(transform, name)
 
-    def rank_mult(*args, **kwargs):
-        out = mult(*args, **kwargs)
-        built["product"].append(out[0])
-        return out
+        def run(*args, **kwargs):
+            out = original(*args, **kwargs)
+            built[kind].append(out[0])
+            return out
 
-    monkeypatch.setattr(transform, "_batch_ranked_zeta", ranked_zeta)
-    monkeypatch.setattr(transform, "_batch_rank_mult", rank_mult)
+        monkeypatch.setattr(transform, name, run)
+
+    record("_batch_ranked_zeta", "zeta")
+    record("_member_zeta", "zeta")
+    record("_batch_rank_mult", "product")
     return built
 
 
