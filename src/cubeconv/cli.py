@@ -51,7 +51,7 @@ def parse_family(text: str) -> SetFamily:
 
     A file in the form serialize_family writes (an optional "m=<m>"
     header, "-" lines, sets as comma-separated elements "1" .. "24", and
-    "\\n" line ends) is read in one numpy pass over its bytes.  Any other
+    "\\n" line ends) is read by numpy, in pieces of whole lines.  Any other
     file, and any file that fails a check there, goes to the line parser,
     which accepts every spelling of the format and words every error
     message; so both give the same family or the same error."""
@@ -59,9 +59,15 @@ def parse_family(text: str) -> SetFamily:
     return _parse_lines(text) if family is None else family
 
 
+# Piece of a canonical file read at once, in bytes: its byte-wide arrays stay in cache.
+_PIECE = 1 << 18
+
+
 def _read_canonical(text: str) -> SetFamily | None:
     """The family of a canonical file, or None if the file is not one or
-    breaks a rule of the format."""
+    breaks a rule of the format.  Each piece, cut just after a "\\n",
+    keeps its masks and line sizes; the sort and the checks on them run
+    once, over the whole file."""
     if not text.isascii():
         return None
     m, start = None, 0
@@ -71,32 +77,32 @@ def _read_canonical(text: str) -> SetFamily | None:
         if not (digits.isdigit() and digits[0] != "0" and len(digits) <= 2):
             return None
         m = int(digits)
-    tokens = _canonical_tokens(text, start)
-    if tokens is None:
+    raw = (text if text.endswith("\n") else text + "\n").encode("ascii")
+    b, pieces = np.frombuffer(raw, dtype=np.uint8), []
+    while start < len(raw):
+        stop = raw.index(b"\n", min(start + _PIECE, len(raw)) - 1) + 1
+        piece = _canonical_lines(b[start:stop])
+        if piece is None:
+            return None
+        pieces.append(piece)
+        start = stop
+    if not pieces:
         return None
-    element, heads = tokens
-    bits = np.left_shift(1, element, dtype=np.int64)
-    bits >>= 1  # "-" is element 0 and adds no bit
-    masks = np.add.reduceat(bits, heads)
-    members = np.sort(masks)
-    top = int(members[-1]).bit_length()  # the largest element, unless one repeats
+    masks, sizes = map(np.concatenate, zip(*pieces))
+    top = int(masks.max()).bit_length()  # the largest element, unless one repeats
     m = top if m is None else m
-    if not 1 <= m <= MAX_M or top > m or np.any(members[1:] == members[:-1]):
+    if not 1 <= m <= MAX_M or top > m or np.any(popcounts(m)[masks] != sizes):  # a repeated element carries
         return None
-    sizes = np.diff(np.append(heads, len(element))) - (element[heads] == 0)  # a "-" line has 0
-    if np.any(popcounts(m)[masks] != sizes):  # a repeated element carries
+    masks.sort()
+    if np.any(masks[1:] == masks[:-1]):
         return None
-    return SetFamily(m, members)
+    return SetFamily(m, masks)
 
 
-def _canonical_tokens(text: str, start: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """(elements, line heads) of the set lines from text[start] on: each
-    token's element ("-" as 0) and the index of each line's first token;
-    None if the lines break the format.  The byte-wide arrays live only
-    here, so they are freed before the masks are built."""
-    b = np.frombuffer((text if text.endswith("\n") else text + "\n").encode("ascii"), dtype=np.uint8)[start:]
-    if not b.size:
-        return None
+def _canonical_lines(b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(masks, sizes) of the set lines in b, whole lines that end in "\\n":
+    each line's mask and its count of elements; None if the lines break
+    the format."""
     newline, dash, digit = b == ord("\n"), b == ord("-"), b - np.uint8(ord("0"))
     sep = newline | (b == ord(","))
     head = np.concatenate(([True], sep[:-1]))  # the byte starts a token
@@ -113,9 +119,13 @@ def _canonical_tokens(text: str, start: int) -> tuple[np.ndarray, np.ndarray] | 
     digit[1:] += 10 * digit[:-1] * ~head[1:]  # a two-byte token's value, at its last byte
     ends = np.flatnonzero(sep[1:])  # the last byte of each token
     element = digit[ends]
-    if element.max() > MAX_M:
+    heads = np.concatenate(([0], np.flatnonzero(newline[1:][ends[:-1]]) + 1))
+    sizes = np.diff(np.append(heads, len(element))) - (element[heads] == 0)  # a "-" line has 0
+    if element.max() > MAX_M or sizes.max() > MAX_M:  # a line of more than MAX_M elements repeats one
         return None
-    return element, np.concatenate(([0], np.flatnonzero(newline[1:][ends[:-1]]) + 1))
+    bits = np.left_shift(1, element, dtype=np.int64)
+    bits >>= 1  # "-" is element 0 and adds no bit
+    return np.add.reduceat(bits, heads), sizes.astype(np.uint8)
 
 
 def _parse_lines(text: str) -> SetFamily:
@@ -158,16 +168,24 @@ def serialize_family(family: SetFamily) -> str:
     """The canonical file of a family: an "m=<m>" header, then one line per
     member, its elements ascending and comma-separated, or "-" if empty.
 
-    A line joins two table entries, the "e1,e2,...," names of the
-    member's low k = m // 2 bits and of its high m - k bits, less the
-    last comma."""
+    A line joins two pieces, gathered by numpy from two tables: the
+    "e1,e2,...," name of the member's low k = m // 2 bits, or that name
+    ending the line ("-\\n" for the empty set) when the high m - k bits are
+    empty, and the name of the high bits, which ends the line."""
     m, k = family.m, family.m // 2
     low, high = [""], [""]  # names of the masks over elements 1..k and k+1..m, bit i for the i-th
     for e in range(1, m + 1):
         names = low if e <= k else high
         names += [name + f"{e}," for name in names]
-    lines = [(low[x & ((1 << k) - 1)] + high[x >> k])[:-1] or "-" for x in family.members.tolist()]
-    return "\n".join([f"m={m}", *lines, ""])
+    # the 2^k low names that end a line, then the 2^k that go on to a high name
+    low = np.array(["-\n", *(name[:-1] + "\n" for name in low[1:]), *low], dtype=object)
+    high = np.array(["", *(name[:-1] + "\n" for name in high[1:])], dtype=object)
+    x = family.members
+    pieces = np.empty(2 * len(x) + 1, dtype=object)
+    pieces[0] = f"m={m}\n"
+    pieces[1::2] = low[(x & ((1 << k) - 1)) + (x >> k != 0) * (1 << k)]
+    pieces[2::2] = high[x >> k]
+    return "".join(pieces.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +216,7 @@ def serialize_functions(fs: list[CubeFunction]) -> str:
     m = fs[0].m
     out = [f"m={m} count={len(fs)}"]
     for f in fs:
-        out.append(" ".join(repr(v) for v in f.values))
+        out.append(" ".join(repr(v) for v in f.table.tolist()))
     return "\n".join(out) + "\n"
 
 

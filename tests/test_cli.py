@@ -108,6 +108,12 @@ class TestFunctionFiles:
         assert len(parsed) == 2
         assert all(p.values == f.values for p, f in zip(parsed, fs))
 
+    def test_values_are_written_by_repr(self):
+        fs = [CubeFunction(1, [-0.0, 5e-324], REAL), CubeFunction(1, [1e308, -2.5], REAL)]
+        text = cli.serialize_functions(fs)
+        assert text == "m=1 count=2\n-0.0 5e-324\n1e+308 -2.5\n"
+        assert [p.table.tobytes() for p in cli.parse_functions(text)] == [f.table.tobytes() for f in fs]
+
     def test_bad_header(self):
         with pytest.raises(ValueError):
             cli.parse_functions("count=2 m=1\n1 1\n1 1\n")

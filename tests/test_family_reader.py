@@ -1,12 +1,15 @@
 """The numpy reader and writer of canonical family files against loop
 references.
 
-cli.parse_family reads files in the form serialize_family writes in one
-numpy pass and hands every other file to cli._parse_lines.  Each reader
-test here asks that parse_family and the line parser alone give the same
-family or the same ValueError message.  The writer tests ask that
+cli.parse_family reads files in the form serialize_family writes with
+numpy, in pieces of whole lines, and hands every other file to
+cli._parse_lines.  Each reader test here asks that parse_family and the
+line parser alone give the same family or the same ValueError message,
+also in pieces of a few bytes.  The writer tests ask that
 serialize_family write the same text as a loop over each member's bits.
 """
+
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +29,14 @@ def outcome(parse, text):
 
 
 def assert_same(text):
-    assert outcome(cli.parse_family, text) == outcome(cli._parse_lines, text)
+    """parse_family, in its own pieces and in pieces of a few bytes, cut at
+    almost every line, against the line parser."""
+    expected = outcome(cli._parse_lines, text)
+    assert outcome(cli.parse_family, text) == expected
+    for piece in (1, 3, 8):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_PIECE", piece)
+            assert outcome(cli.parse_family, text) == expected
 
 
 @st.composite
@@ -117,6 +127,7 @@ class TestDifferential:
             "1\n\n",
             "m=3\r\n1\r\n",
             "1\nm=3\n",
+            pytest.param(",".join(["1"] * 256 + ["9"]) + "\n", id="256-ones-and-a-9"),  # sums to {10}
         ],
     )
     def test_edge_cases(self, text):
@@ -131,8 +142,23 @@ def test_canonical_m21_file_never_enters_the_line_parser(monkeypatch):
         raise AssertionError("the line parser was called")
 
     monkeypatch.setattr(cli, "_parse_lines", refuse)
-    assert cli.parse_family(text) == family
-    assert cli.parse_family(text.removesuffix("\n")) == family
+    for piece in (cli._PIECE, 1 << 10):  # 256 KB pieces, or 1 KB ones of about 40 lines
+        monkeypatch.setattr(cli, "_PIECE", piece)
+        assert cli.parse_family(text) == family
+        assert cli.parse_family(text.removesuffix("\n")) == family
+
+
+def test_m21_file_is_read_in_under_four_times_its_length():
+    """The reader's arrays, above the text it reads, stay below 4 bytes a
+    character: the byte-wide arrays live one piece at a time."""
+    text = cli.serialize_family(counting.extremal_family(3, 7))
+    tracemalloc.start()
+    try:
+        cli.parse_family(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * len(text)
 
 
 def serialize_by_loop(family):
