@@ -16,12 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# The size rule, for every flavor and reader: ground sets of at most MAX_M
-# elements, and rank tables (ranks x 2^m masks x batch, 8 B a value) and
-# the verifier's draws of at most RANK_TABLE_BUDGET bytes each, a
-# full-support float64 table at m = 23 (24 x 2^23 x 8 B = 1.5 GiB): all of
-# m <= 23 fits, the fold's three tables stay near 4.5 GiB, and a
-# full-support table at m = 24 (3.1 GiB) is refused.
+# The size rule: ground sets of at most MAX_M elements, and budgets of a
+# full-support float64 rank table at m = 23 (24 x 2^23 x 8 B = 1.5 GiB):
+# three for a fold plan's peak, so all of m <= 23 fits, and one for draws.
 MAX_M = 24
 RANK_TABLE_BUDGET = 24 * 8 << 23
 # p_n's expanded form loses about log2(n) bits to cancellation; exponent(n)
@@ -144,19 +141,13 @@ class SetFamily:
         return len(self.members)
 
 
-def fit_budget(what: str, entry: int, batch: int = 1) -> int:
-    """The most entries of `entry` bytes that fit in RANK_TABLE_BUDGET;
-    raises ValueError, naming `what` and its bytes, before an allocation
-    that cannot hold `batch` of them is made."""
-    need = entry * batch
-    if need > RANK_TABLE_BUDGET:
-        raise ValueError(f"{what} needs {need} bytes, over the rank-table budget of {RANK_TABLE_BUDGET} bytes")
-    return RANK_TABLE_BUDGET // max(entry, 1)
-
-
-def fit_rank_table(ranks: int, m: int, batch: int = 1) -> int:
-    """fit_budget for a rank table of `ranks` rows over 2^m masks."""
-    return fit_budget(f"a rank table of {ranks} ranks x 2^{m} masks x {batch}", ranks * 8 << m, batch)
+def fit_budget(what: str, entry: int, batch: int = 1, tables: int = 1) -> int:
+    """The most entries of `entry` bytes that fit in `tables` budgets;
+    raises ValueError, naming `what` and its bytes, if `batch` do not."""
+    need, budget = entry * batch, tables * RANK_TABLE_BUDGET
+    if need > budget:
+        raise ValueError(f"{what} needs {need} bytes, over the rank-table budget of {budget} bytes")
+    return budget // max(entry, 1)
 
 
 def _check_p(n: int, p: float) -> None:

@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .core import REAL, CubeFunction, SetFamily, fit_rank_table, popcounts
+from .core import REAL, CubeFunction, SetFamily, fit_budget, popcounts
 
 # Modulus of the first residue pass: int64 arithmetic wraps around mod 2^64.
 WORD = 2**64
@@ -177,8 +177,13 @@ def _rank_slots(ranks: list[int], m: int, masks=None) -> tuple[np.ndarray, np.nd
 def _rank_support(a: np.ndarray, m: int) -> list[int]:
     """The sorted ranks r at which (..., 2^m) `a` is nonzero at some
     r-element mask in some batch entry."""
-    live = np.any(a != 0, axis=tuple(range(a.ndim - 1)))
-    return np.flatnonzero(np.bincount(popcounts(m)[live], minlength=m + 1)).tolist()
+    return _ranks(np.any(a != 0, axis=tuple(range(a.ndim - 1))), m)
+
+
+def _ranks(masks: np.ndarray, m: int) -> list[int]:
+    """The sorted ranks of `masks` (ints or bools), a byte a mask: a bincount copies to int64."""
+    ranks = popcounts(m)[masks]
+    return [r for r in range(m + 1) if (ranks == r).any()]
 
 
 def _batch_ranked_zeta(a: np.ndarray, m: int, mod=None, ranks=None):
@@ -186,7 +191,6 @@ def _batch_ranked_zeta(a: np.ndarray, m: int, mod=None, ranks=None):
     `a`) and the per-rank zeta tables of those ranks, mask-major with
     shape (len(ranks), 2^m, ...).  A 1-D `a` gives (len(ranks), 2^m)."""
     ranks = _rank_support(a, m) if ranks is None else ranks
-    fit_rank_table(len(ranks), m, math.prod(a.shape[:-1]))
     rows, masks = _rank_slots(ranks, m)
     out = np.zeros((len(ranks), 1 << m) + a.shape[:-1], dtype=a.dtype)
     out[rows, masks] = np.moveaxis(a, -1, 0)[masks]  # the gather transposes
@@ -200,7 +204,6 @@ def _member_zeta(members: np.ndarray, m: int, mod, ranks: list[int]):
     """_batch_ranked_zeta of the indicator of `members` (distinct int64
     masks), scattered from the members with no 2^m indicator.  Its values
     are at most 2^m < mod, so `mod` does not reduce them."""
-    fit_rank_table(len(ranks), m)
     rows, masks = _rank_slots(ranks, m, members)
     out = np.zeros((len(ranks), 1 << m), dtype=np.int64)
     out[rows, masks] = 1
@@ -233,7 +236,6 @@ def _batch_rank_mult(a, b, m: int, mod=None, keep=None):
     pairs = [[(ia, slot_b[k - i]) for ia, i in enumerate(ranks_a) if k - i in slot_b] for k in ranks]
     floors = [[max(floors_a[ia], floors_b[ib]) for ia, ib in terms] for terms in pairs]
     trials = math.prod(table_a.shape[2:])
-    fit_rank_table(len(ranks), m, trials)
     out = np.zeros((len(ranks),) + table_a.shape[1:], dtype=table_a.dtype)
     c = min(m, (_BLOCK // max(trials, 1) or 1).bit_length() - 1)
     # (rows, positions) views, sized explicitly: a table may have no rows
@@ -255,34 +257,50 @@ def _batch_rank_mult(a, b, m: int, mod=None, keep=None):
     return ranks, out, [min(row_floors) for row_floors in floors]
 
 
-def _fold_plan(supports: list[list[int]], need, m: int) -> tuple[list[list[int]], list[list[int]]]:
-    """(tables, products): the ranks of each factor's zeta table and of each
-    product f_1 * ... * f_j (j >= 2) in a fold of factors with rank supports
-    `supports`, wanted at the ranks in `need`.  A rank is kept only if ranks
-    of the other factors bring it to a needed one, so none is negative,
-    above m or unused, and equal factors in a run get equal tables."""
+def _fold_plan(supports: list[list[int]], need, m: int, scratch: int = 3):
+    """(tables, products, peak): the ranks of each factor's zeta table and
+    of each product f_1 * ... * f_j (j >= 2) in a fold of factors with rank
+    supports `supports`, wanted at the ranks in `need`, and the most rank
+    rows _fold holds at once.  A rank is kept only if ranks of the other
+    factors bring it to a needed one, so none is negative, above m or
+    unused, and equal factors in a run (one support object) share a table.
+    peak adds `scratch` rows to a tabulate, and to the readout's row."""
     rests = [[0]]  # rests[i]: the ranks of the product of the last i factors
     for s in reversed(supports[1:]):
         rests.append(_sumset(rests[-1], s, range(m + 1)))
     tables, products = [], [[0]]
-    for s, rest in zip(supports, reversed(rests)):
+    held = table = peak = 0  # rows of the product (0 while it is the table), of the table
+    for j, (s, rest) in enumerate(zip(supports, reversed(rests))):
         keep = _sumset(need, [-r for r in rest], range(m + 1))  # the ranks that rest brings into need
         tables.append(_sumset(keep, [-r for r in products[-1]], s))
         products.append(_sumset(products[-1], tables[-1], keep))
-    return tables, products[2:]
+        if not j or s is not supports[j - 1]:  # a new table; the last is freed unless it is the product
+            held, table = table if j == 1 else held, len(tables[-1])
+            peak = max(peak, held + table + scratch)
+        if j:
+            peak, held = max(peak, held + table + len(products[-1])), len(products[-1])
+    return tables, products[2:], max(peak, held + 1 + scratch)
 
 
-def _fold(factors, supports: list[list[int]], need, m: int, mod, tabulate):
+def _fit_fold(peak: int, m: int, batch: int = 1) -> int:
+    """fit_budget of a fold plan's `peak` rows: three tables' worth."""
+    return fit_budget(f"a fold plan of {peak} rank rows x 2^{m} masks x {batch}", peak * 8 << m, batch, 3)
+
+
+def _fold(factors, supports: list[list[int]], need, m: int, mod, tabulate, scratch: int = 3):
     """(ranks, table): the subset convolution f_1 * ... * f_k (k >= 2) at
     the ranks in `need` that it can reach, one row a rank, each row read
     only at masks of its rank.  Runs _fold_plan on the factors' rank
-    supports: tabulate(factor, m, mod, ranks) builds a zeta table (one for
-    a run of one repeated factor object), products in the zeta domain,
-    and a trimmed Moebius transform of the last."""
-    tables, products = _fold_plan(supports, need, m)
-    prod = prev = None
+    supports once _fit_fold admits it: tabulate(factor, m, mod, ranks)
+    builds a zeta table (one for a run of one repeated factor object),
+    products in the zeta domain, and a trimmed Moebius transform of the
+    last."""
+    tables, products, peak = _fold_plan(supports, need, m, scratch)
+    _fit_fold(peak, m, math.prod(np.shape(factors[0])[:-1]))
+    prod = prev = table = None
     for a, ranks, built in zip(factors, tables, [None] + products):
         if a is not prev:
+            table = None  # freed before the next is built
             table, prev = tabulate(a, m, mod, ranks), a
         prod = table if built is None else _batch_rank_mult(prod, table, m, mod, built)
     del table
@@ -300,8 +318,8 @@ def _convolve(arrays, m: int, mod, need) -> np.ndarray:
     ranks, table = _fold(arrays, supports, need, m, mod, _batch_ranked_zeta)
     rows, masks = _rank_slots(ranks, m)
     h = np.zeros(table.shape[1:], dtype=table.dtype)
-    h[masks] = table[rows, masks] % mod if mod else table[rows, masks]
-    return h
+    h[masks] = table[rows, masks]
+    return h % mod if mod else h  # once the gather is freed
 
 
 def _member_sum(members: np.ndarray, m: int, k: int, mod) -> np.ndarray:
@@ -311,8 +329,8 @@ def _member_sum(members: np.ndarray, m: int, k: int, mod) -> np.ndarray:
     members."""
     if k == 1:  # h is the indicator
         return np.int64(len(members))
-    support = np.flatnonzero(np.bincount(popcounts(m)[members], minlength=m + 1)).tolist()
-    ranks, table = _fold([members] * k, [support] * k, support, m, mod, _member_zeta)
+    support = _ranks(members, m)
+    ranks, table = _fold([members] * k, [support] * k, support, m, mod, _member_zeta, scratch=0)
     rows, masks = _rank_slots(ranks, m, members)
     values = table[rows, masks]
     if mod:

@@ -16,18 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    REAL,
-    CubeFunction,
-    HoelderParams,
-    check_m,
-    exponent,
-    fit_budget,
-    fit_rank_table,
-    lp_norms,
-    popcounts,
-)
-from .transform import batch_corner_value
+from .core import REAL, CubeFunction, HoelderParams, check_m, exponent, fit_budget, lp_norms, popcounts
+from .transform import _fit_fold, _fold_plan, batch_corner_value
 
 # Both sides of a check can be ~0, so pass/fail combines a relative and
 # an absolute floor.
@@ -217,13 +207,15 @@ def _draw_functions(config: TrialConfig, trial_indices: np.ndarray) -> np.ndarra
     return np.moveaxis(x, 1, 0)
 
 
-def _fit_draws(config: TrialConfig) -> int:
-    """The most trials whose draws fit the size rule: n x 2^m float64
-    values, plus one transient plane as large for the sparse gate or the
-    sign.  Raises ValueError, naming the bytes, when one trial does not."""
+def _fit_trials(config: TrialConfig) -> int:
+    """The most trials that fit the size rule: a fold of n-1 factors on
+    every rank (n = 2 holds just its h row), and n x 2^m float64 draws plus
+    one plane as large for the sparse gate or the sign."""
+    n, m, full = config.n, config.m, range(config.m + 1)
+    rows = _fold_plan([list(full) for _ in range(n - 1)], full, m)[2] if n > 2 else 1
     planes = 1 + (config.distribution == "sparse" or config.signed)
-    what = f"a trial's draw of {planes} planes x {config.n} functions x 2^{config.m} values"
-    return fit_budget(what, planes * config.n * 8 << config.m)
+    what = f"a trial's draw of {planes} planes x {n} functions x 2^{m} values"
+    return min(_fit_fold(rows, m), fit_budget(what, planes * n * 8 << m))
 
 
 def _sides(tables, m: int, p: float) -> tuple[np.ndarray, np.ndarray]:
@@ -289,12 +281,11 @@ def _split_sides(config: TrialConfig, p: float, idx: np.ndarray, cpus: int):
 
 def run_trials(config: TrialConfig, chunk: int = 1024) -> dict:
     """Monte-Carlo sweep of the main inequality; returns a report dict
-    with failure count and the largest lhs/rhs ratio observed.  A chunk
-    holds no more trials than the size rule allows for rank tables at m+1
-    ranks and for draws.  A trial's sides do not depend on its chunk or
-    piece, so the report does not depend on the CPU count."""
+    with failure count and the largest lhs/rhs ratio observed.  A trial's
+    sides do not depend on its chunk or piece, so the report does not
+    depend on the CPU count."""
     p = exponent(config.n).p
-    chunk = min(chunk, fit_rank_table(config.m + 1, config.m), _fit_draws(config))
+    chunk = min(chunk, _fit_trials(config))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1  # not on macOS
     failures = 0
     max_ratio = float("-inf")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from cubeconv.core import CubeFunction
+from cubeconv.core import CubeFunction, SetFamily
 
 # Brute-force corner enumeration walks n^m labeled coordinate assignments.
 BRUTE_TERM_CAP = 10**8
@@ -24,3 +24,11 @@ def corner_brute(fs: list[CubeFunction]):
             masks[j] |= 1 << coord
         total += math.prod(f.values[mask] for f, mask in zip(fs, masks))
     return total
+
+
+def product_family(x: SetFamily, y: SetFamily) -> SetFamily:
+    """X x Y = {A | (B << m_X)} on m_X + m_Y elements, in Python ints.  A
+    tuple of X x Y splits into one of X and one of Y, so count(X x Y, n) =
+    count(X, n) * count(Y, n), and |X x Y| = |X| * |Y|."""
+    # B major, then A: the masks come out strictly increasing
+    return SetFamily(x.m + y.m, [a | b << x.m for b in y.members.tolist() for a in x.members.tolist()])

@@ -13,9 +13,9 @@ from cubeconv.core import (
     SetFamily,
     exponent,
     family_to_functions,
-    fit_rank_table,
     lp_norms,
 )
+from cubeconv.transform import _fit_fold
 from cubeconv.verifier import _sides
 
 
@@ -275,18 +275,24 @@ class TestPackage:
             assert not hasattr(SetFamily, attr)
 
 
-class TestFitRankTable:
+class TestFoldBudget:
+    """A fold plan's peak gets three rank-table budgets: the three
+    full-support tables of a product step."""
+
     def test_budget_is_a_full_support_float64_table_at_m23(self):
         assert core.RANK_TABLE_BUDGET == 24 * 2**23 * 8 == 1.5 * 2**30
-        assert fit_rank_table(24, 23) == 1
-        assert fit_rank_table(13, 12) == 3780  # verify keeps chunk 1024 at m <= 12
+        assert _fit_fold(3 * 24, 23) == 1
+        assert _fit_fold(3 * 13, 12) == 3780  # verify keeps chunk 1024 at m <= 12
 
     def test_over_budget_names_the_bytes(self):
-        message = f"needs {25 * 2**24 * 8} bytes, over the rank-table budget of {1.5 * 2**30:.0f} bytes"
+        message = f"needs {75 * 2**24 * 8} bytes, over the rank-table budget of {4.5 * 2**30:.0f} bytes"
         with pytest.raises(ValueError, match=message):
-            fit_rank_table(25, 24)  # a full-support table at m=24
-        with pytest.raises(ValueError, match=r"^a rank table of 24 ranks x 2\^23 masks x 2 needs"):
-            fit_rank_table(24, 23, batch=2)
+            _fit_fold(75, 24)  # the full-support fold at m=24
+        with pytest.raises(ValueError, match=r"^a fold plan of 72 rank rows x 2\^23 masks x 2 needs"):
+            _fit_fold(72, 23, batch=2)
 
-    def test_a_table_with_no_rows_fits(self):
-        assert fit_rank_table(0, 24, batch=10**6) == core.RANK_TABLE_BUDGET
+    def test_a_plan_with_no_rows_fits(self):
+        assert _fit_fold(0, 24, batch=10**6) == 3 * core.RANK_TABLE_BUDGET
+
+    def test_rank_table_checks_are_gone(self):
+        assert not hasattr(core, "fit_rank_table")

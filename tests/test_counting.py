@@ -13,6 +13,7 @@ from cubeconv.counting import (
     extremal_family,
 )
 from cubeconv.transform import corner_convolution
+from oracles import product_family
 
 
 def extremal_count_closed_form(n, t):
@@ -213,6 +214,42 @@ class TestMemberCount:
             tracemalloc.stop()
         assert rep.count == extremal_count_closed_form(n, t)
         assert peak < 3.5 * 8 * 2**18, peak / (8 * 2**18)
+
+
+class TestProductFamilies:
+    """count(X x Y, n) = count(X, n) count(Y, n), an exact oracle for
+    families with no closed form of their own."""
+
+    @staticmethod
+    def factor(rng, max_m, empty):
+        m = rng.randint(1, max_m)
+        masks = rng.sample(range(1, 1 << m), rng.randint(1, min((1 << m) - 1, 12)))
+        return SetFamily.from_masks(m, masks + [0] * empty)
+
+    def test_random_products(self):
+        rng, kernels = random.Random(2017), []
+        for i in range(200):
+            if i % 4:  # the int64 kernel at small n
+                x, y = (self.factor(rng, 8, rng.random() < 0.3) for _ in range(2))
+                n = rng.randint(2, 5)
+            else:  # ∅ in both factors keeps the count nonzero at an n whose bound |X x Y|^(n-1) passes 2^63
+                x, y = self.factor(rng, 4, True), self.factor(rng, 4, True)
+                n = 2 + math.ceil(63 / math.log2(len(x) * len(y))) + rng.randint(0, 2)
+            product = product_family(x, y)
+            report = bound_report(product, n)
+            assert len(product) == len(x) * len(y)
+            assert report.count == count_disjoint_tuples(x, n) * count_disjoint_tuples(y, n)
+            kernels.append(report.kernel)
+        assert sum(kernel.startswith("int64-crt") for kernel in kernels) >= 20
+        assert "int64" in kernels
+
+    def test_the_ci_product_at_m24(self):
+        """The family the m=24 CI count reads: X x X for X = extremal_family(6, 2)."""
+        x = extremal_family(6, 2)
+        product = product_family(x, x)
+        assert (product.m, len(product)) == (24, 17_424)
+        assert sorted({s.bit_count() for s in product.members.tolist()}) == [4, 12, 20]
+        assert count_disjoint_tuples(x, 6) ** 2 == 7_484_400**2 == 56_016_243_360_000
 
 
 class TestBoundReport:

@@ -1,16 +1,19 @@
-"""The fold plan, pinned without arrays, and its two callers: the corner
-convolution and subset_convolve run the same plan and executor."""
+"""The fold plan, pinned without arrays, its peak against the budget and
+against measured memory, and its two callers: the corner convolution and
+subset_convolve run the same plan and executor."""
 
+import functools
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cubeconv import transform
-from cubeconv.core import INT, REAL, CubeFunction
+from cubeconv import core, transform, verifier
+from cubeconv.core import INT, REAL, CubeFunction, SetFamily, popcounts
 from cubeconv.counting import count_disjoint_tuples, extremal_family
-from cubeconv.transform import _fold_plan, corner_convolution, subset_convolve
+from cubeconv.transform import _fit_fold, _fold_plan, batch_corner_value, corner_convolution, subset_convolve
 
 
 def spy(monkeypatch):
@@ -35,19 +38,121 @@ def spy(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "n,t,tables,products",
+    "n,t,tables,products,peak",
     [
-        (12, 2, [[2]] * 11, [[k] for k in range(4, 24, 2)]),  # 10 products per pass
-        (6, 4, [[4]] * 5, [[8], [12], [16], [20]]),
-        (4, 6, [[6]] * 3, [[12], [18]]),
-        (3, 8, [[8]] * 2, [[16]]),
+        (12, 2, [[2]] * 11, [[k] for k in range(4, 24, 2)], 3),  # 10 products per pass
+        (8, 3, [[3]] * 7, [[k] for k in range(6, 24, 3)], 3),
+        (6, 4, [[4]] * 5, [[8], [12], [16], [20]], 3),
+        (4, 6, [[6]] * 3, [[12], [18]], 3),
+        (3, 8, [[8]] * 2, [[16]], 2),
     ],
 )
-def test_plans_of_the_layered_counts_at_m24(n, t, tables, products):
+def test_plans_of_the_layered_counts_at_m24(n, t, tables, products, peak):
     """The layered family of n, t: every factor on ranks {t, (n-1)t}, and
-    f_n(S^c) needs the same ranks of h."""
+    f_n(S^c) needs the same ranks of h.  A count tabulates from the
+    members (no scratch rows), so its peak is the one shared table and the
+    product at n=3, 2 rows (335 MB measured), and the last product, the
+    table and the next product above, 3 rows (430 MB measured)."""
     layers = [t, (n - 1) * t]
-    assert _fold_plan([layers] * (n - 1), layers, 24) == (tables, products)
+    assert _fold_plan([layers] * (n - 1), layers, 24, scratch=0) == (tables, products, peak)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_the_full_support_corner_peaks_at_three_tables(n):
+    """verify's fold: n-1 distinct factors on every rank.  Its 3(m+1) rows
+    fit one trial at m=23 and not two; at m=24 (75 rows) not one."""
+    full = {m: range(m + 1) for m in (23, 24)}
+    peaks = [_fold_plan([list(full[m]) for _ in range(n - 1)], full[m], m)[2] for m in (23, 24)]
+    assert peaks == [72, 75]
+    assert _fit_fold(72, 23) == 1
+    for peak, m, batch in [(72, 23, 2), (75, 24, 1)]:
+        with pytest.raises(ValueError, match=f"^a fold plan of {peak} rank rows x 2\\^{m} masks x {batch} needs"):
+            _fit_fold(peak, m, batch)
+
+
+def today_admits(tables, m: int, batch: int = 1) -> bool:
+    """The per-table rule that the plan's budget replaced, in Python ints:
+    every zeta table and product alone within one RANK_TABLE_BUDGET."""
+    return all((len(ranks) * 8 << m) * batch <= core.RANK_TABLE_BUDGET for ranks in tables)
+
+
+def plan_admits(peak: int, m: int, batch: int = 1) -> bool:
+    return (peak * 8 << m) * batch <= 3 * core.RANK_TABLE_BUDGET
+
+
+def test_nothing_that_ran_before_the_plan_budget_is_refused():
+    """verify at its former chunk (a table of m+1 ranks, and the draws, each
+    within one budget), every layered count, and every full-support
+    subset_convolve that fit the per-table rule fit the plan's budget; and
+    for n >= 3 verify's chunk is the same."""
+    budget = core.RANK_TABLE_BUDGET
+    for n, m, planes in itertools.product(range(2, 6), range(1, 24), (1, 2)):
+        chunk = min(1024, budget // ((m + 1) * 8 << m), budget // (planes * n * 8 << m))
+        assert chunk >= 1
+        config = verifier.TrialConfig(n, m, 1, 0, "sparse" if planes == 2 else "uniform")
+        fit = min(1024, verifier._fit_trials(config))
+        assert fit == chunk if n > 2 else fit >= chunk
+        if n > 2:
+            full = range(m + 1)
+            tables, products, peak = _fold_plan([list(full) for _ in range(n - 1)], full, m)
+            assert today_admits(tables + products, m, chunk) and plan_admits(peak, m, chunk)
+    for n, t in itertools.product(range(3, 25), range(1, 25)):
+        if n * t <= 24:
+            layers = [t, (n - 1) * t]
+            tables, products, peak = _fold_plan([layers] * (n - 1), layers, n * t, scratch=0)
+            assert today_admits(tables + products, n * t) and plan_admits(peak, n * t)
+    for m in range(1, 24):
+        tables, products, peak = _fold_plan([list(range(m + 1)), list(range(m + 1))], range(m + 1), m)
+        assert today_admits(tables + products, m) and plan_admits(peak, m)
+
+
+def memory_cases():
+    """(m, call, input bytes) at m <= 18: layered and random counts, batched
+    float corners, and subset_convolve of real and of int64 functions."""
+    rng = np.random.default_rng(18)
+    for n, t in [(3, 6), (4, 4), (6, 3), (9, 2), (3, 5)]:
+        family = extremal_family(n, t)
+        yield n * t, lambda family=family, n=n: count_disjoint_tuples(family, n), family.members.nbytes
+    for m, n, density in [(12, 3, 1.0), (14, 4, 0.1), (16, 3, 0.05), (13, 5, 0.5), (18, 3, 0.001)]:
+        family = SetFamily(m, np.flatnonzero(rng.random(1 << m) < density))
+        yield m, lambda family=family, n=n: count_disjoint_tuples(family, n), family.members.nbytes
+    for m, n, batch in [(12, 3, 4), (10, 5, 16), (14, 4, 2), (16, 3, 1)]:
+        fs = rng.random((n, batch, 1 << m)) * (rng.random((n, batch, 1 << m)) < 0.5)
+        yield m, lambda fs=fs, m=m: batch_corner_value(fs, m), fs.nbytes
+    for m, flavor in itertools.product((12, 14, 16), (REAL, INT)):
+        f, g = (CubeFunction(m, rng.integers(-9, 10, 1 << m), flavor) for _ in range(2))
+        # an int pass reduces every input to a residue copy
+        yield m, lambda f=f, g=g: subset_convolve(f, g), (f.table.nbytes + g.table.nbytes) * (1 + (flavor == INT))
+
+
+@functools.cache
+def memory_corpus() -> list:
+    return list(memory_cases())
+
+
+@pytest.mark.parametrize("case", range(20))
+def test_the_measured_peak_is_within_the_plan(monkeypatch, case):
+    """tracemalloc's peak of each call is at most the largest planned fold
+    (peak rows x 2^m x batch x 8 B, as _fold checks it) plus its inputs and
+    their residue copies.  Outside rows, a product step also holds one
+    block of at most _BLOCK values, and the interpreter a few objects."""
+    assert len(memory_corpus()) == 20
+    m, call, inputs = memory_corpus()[case]
+    planned = []
+
+    def fit(peak, m, batch=1):
+        planned.append((peak * 8 << m) * batch)
+        return _fit_fold(peak, m, batch)
+
+    monkeypatch.setattr(transform, "_fit_fold", fit)
+    popcounts(m)  # built once per process, so not by call
+    tracemalloc.start()
+    try:
+        call()
+        measured = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert planned and measured <= max(planned) + inputs + 8 * transform._BLOCK + (1 << 14)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -60,7 +165,7 @@ def test_a_plan_holds_exactly_the_ranks_of_the_useful_choices(seed):
     supports = [sorted(rng.sample(range(m + 1), rng.randint(1, m + 1))) for _ in range(rng.randint(2, 4))]
     need = sorted(rng.sample(range(m + 1), rng.randint(0, m + 1)))
     useful = [c for c in itertools.product(*supports) if sum(c) in need]
-    tables, products = _fold_plan(supports, need, m)
+    tables, products, _ = _fold_plan(supports, need, m)
     assert tables == [sorted({c[j] for c in useful}) for j in range(len(supports))]
     assert products == [sorted({sum(c[: j + 1]) for c in useful}) for j in range(1, len(supports))]
     assert products[-1] == sorted({sum(c) for c in useful})
@@ -70,7 +175,7 @@ def test_a_plan_holds_exactly_the_ranks_of_the_useful_choices(seed):
 def test_a_count_builds_its_plan_once_per_pass(monkeypatch, n, t):
     """f_1 = ... = f_(n-1) is tabulated once, then the planned products."""
     layers = [t, (n - 1) * t]
-    tables, products = _fold_plan([layers] * (n - 1), layers, n * t)
+    tables, products, _ = _fold_plan([layers] * (n - 1), layers, n * t)
     built = spy(monkeypatch)
     count_disjoint_tuples(extremal_family(n, t), n)
     passes = len(built["zeta"])

@@ -794,16 +794,18 @@ class TestMass:
 
 
 class TestRankTableBudget:
-    """With core.RANK_TABLE_BUDGET set just below a table the kernel needs,
-    every entry point refuses that table before it is allocated."""
+    """With core.RANK_TABLE_BUDGET set so that a fold plan's peak is over
+    three budgets, or a trial's draws over one, every entry point refuses
+    before it allocates what the budget is for."""
 
     @staticmethod
-    def refused_peak(monkeypatch, budget, call) -> int:
-        """The tracemalloc peak of call(), which must refuse over `budget`."""
+    def refused_peak(monkeypatch, budget, call, tables=3) -> int:
+        """The tracemalloc peak of call(), which must refuse over `tables`
+        budgets of `budget` bytes: three for a fold, one for draws."""
         monkeypatch.setattr(core, "RANK_TABLE_BUDGET", budget)
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=f"over the rank-table budget of {budget} bytes"):
+            with pytest.raises(ValueError, match=f"over the rank-table budget of {tables * budget} bytes"):
                 call()
             return tracemalloc.get_traced_memory()[1]
         finally:
@@ -813,14 +815,25 @@ class TestRankTableBudget:
     def test_subset_convolve(self, monkeypatch, flavor):
         m, rng = 10, random.Random(3)
         f, g = (CubeFunction(m, [rng.randint(1, 9) for _ in range(1 << m)], flavor) for _ in range(2))
-        table = (m + 1) * 8 << m  # every rank is live
+        table = (m + 1) * 8 << m  # every rank is live; the plan's peak is three tables
         assert self.refused_peak(monkeypatch, table - 1, lambda: subset_convolve(f, g)) < table
+
+    def test_a_refused_fold_allocates_nothing(self, monkeypatch):
+        """Zeta tables of ranks 0..6 and a product of ranks 0..12: the plan's
+        peak is 7 + 7 + 13 rows, refused before the first zeta table."""
+        m, rng = 12, np.random.default_rng(12)
+        low = np.array([s.bit_count() <= 6 for s in range(1 << m)])
+        f, g = (CubeFunction(m, rng.uniform(0.5, 1.0, 1 << m) * low, REAL) for _ in range(2))
+        row = 8 << m
+        assert transform._fold_plan([list(range(7)), list(range(7))], range(m + 1), m)[2] == 27
+        assert self.refused_peak(monkeypatch, 9 * row - 1, lambda: subset_convolve(f, g)) < row
 
     def test_count(self, monkeypatch):
         m = 12
         family = SetFamily.from_masks(m, range(1 << m))
-        table = (m + 1) * 8 << m  # n=3 needs every rank
-        assert self.refused_peak(monkeypatch, table - 1, lambda: count_disjoint_tuples(family, 3)) < table
+        row = 8 << m
+        peak = 26 * row  # n=3: the one 13-row table of the repeated factor, and the 13-row product
+        assert self.refused_peak(monkeypatch, peak // 3 - 1, lambda: count_disjoint_tuples(family, 3)) < row
 
     def test_run_trials_refuses_before_drawing(self, monkeypatch):
         config = TrialConfig(n=3, m=10, trials=4, seed=5)
@@ -864,7 +877,7 @@ class TestRankTableBudget:
     def test_run_trials_refuses_a_trial_over_budget(self, monkeypatch, distribution, signed, planes):
         config = TrialConfig(n=20, m=8, trials=4, seed=5, distribution=distribution, signed=signed)
         draw = planes * config.n * 8 << config.m
-        assert self.refused_peak(monkeypatch, draw - 1, lambda: run_trials(config)) < draw
+        assert self.refused_peak(monkeypatch, draw - 1, lambda: run_trials(config), tables=1) < draw
         message = f"a trial's draw of {planes} planes x 20 functions x 2^8 values needs {draw} bytes"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}, over the rank-table budget of {draw - 1} bytes$"):
             run_trials(config)
@@ -884,7 +897,7 @@ class TestRankTableBudget:
         cells = itertools.product(range(2, 6), range(1, 13), ("uniform", "sparse"), (False, True))
         for n, m, distribution, signed in cells:
             config = TrialConfig(n=n, m=m, trials=1, seed=0, distribution=distribution, signed=signed)
-            assert min(core.fit_rank_table(m + 1, m), verifier._fit_draws(config)) >= 1024
+            assert verifier._fit_trials(config) >= 1024
 
     def test_witness_exits_2(self, monkeypatch):
         monkeypatch.setattr(core, "RANK_TABLE_BUDGET", 2**20)
@@ -892,8 +905,8 @@ class TestRankTableBudget:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(["verify", "--witness", "--n", "5", "--m", "16"])
         assert (code, out.getvalue()) == (2, "")
-        need = 17 * 8 << 16
+        need = 51 * 8 << 16  # one shared 17-row table, the last product and the next
         assert err.getvalue() == (
-            f"error: a rank table of 17 ranks x 2^16 masks x 1 needs {need} bytes, "
-            f"over the rank-table budget of {2**20} bytes\n"
+            f"error: a fold plan of 51 rank rows x 2^16 masks x 1 needs {need} bytes, "
+            f"over the rank-table budget of {3 * 2**20} bytes\n"
         )
