@@ -141,13 +141,13 @@ class SetFamily:
         return len(self.members)
 
 
-def fit_budget(what: str, entry: int, batch: int = 1, tables: int = 1) -> int:
-    """The most entries of `entry` bytes that fit in `tables` budgets;
+def fit_budget(what: str, entry: int, batch: int = 1) -> int:
+    """The most entries of `entry` bytes that fit in RANK_TABLE_BUDGET;
     raises ValueError, naming `what` and its bytes, if `batch` do not."""
-    need, budget = entry * batch, tables * RANK_TABLE_BUDGET
-    if need > budget:
-        raise ValueError(f"{what} needs {need} bytes, over the rank-table budget of {budget} bytes")
-    return budget // max(entry, 1)
+    need = entry * batch
+    if need > RANK_TABLE_BUDGET:
+        raise ValueError(f"{what} needs {need} bytes, over the rank-table budget of {RANK_TABLE_BUDGET} bytes")
+    return RANK_TABLE_BUDGET // max(entry, 1)
 
 
 def _check_p(n: int, p: float) -> None:

@@ -29,7 +29,8 @@ import math
 
 import numpy as np
 
-from .core import REAL, CubeFunction, SetFamily, fit_budget, popcounts
+from . import core
+from .core import REAL, CubeFunction, SetFamily, popcounts
 
 # Modulus of the first residue pass: int64 arithmetic wraps around mod 2^64.
 WORD = 2**64
@@ -181,7 +182,7 @@ def _rank_support(a: np.ndarray, m: int) -> list[int]:
 
 
 def _ranks(masks: np.ndarray, m: int) -> list[int]:
-    """The sorted ranks of `masks` (ints or bools), a byte a mask: a bincount copies to int64."""
+    """The sorted ranks of `masks` (ints, or bools over 2^m), a byte a mask."""
     ranks = popcounts(m)[masks]
     return [r for r in range(m + 1) if (ranks == r).any()]
 
@@ -257,47 +258,43 @@ def _batch_rank_mult(a, b, m: int, mod=None, keep=None):
     return ranks, out, [min(row_floors) for row_floors in floors]
 
 
-def _fold_plan(supports: list[list[int]], need, m: int, scratch: int = 3):
+def _fold_plan(supports: list[list[int]], need, m: int):
     """(tables, products, peak): the ranks of each factor's zeta table and
     of each product f_1 * ... * f_j (j >= 2) in a fold of factors with rank
-    supports `supports`, wanted at the ranks in `need`, and the most rank
-    rows _fold holds at once.  A rank is kept only if ranks of the other
-    factors bring it to a needed one, so none is negative, above m or
-    unused, and equal factors in a run (one support object) share a table.
-    peak adds `scratch` rows to a tabulate, and to the readout's row."""
+    supports `supports`, wanted at the ranks in `need`, and a bound on the
+    rows _fold holds at once.  A rank is kept only if the other factors
+    bring it to a needed one."""
     rests = [[0]]  # rests[i]: the ranks of the product of the last i factors
     for s in reversed(supports[1:]):
         rests.append(_sumset(rests[-1], s, range(m + 1)))
     tables, products = [], [[0]]
-    held = table = peak = 0  # rows of the product (0 while it is the table), of the table
-    for j, (s, rest) in enumerate(zip(supports, reversed(rests))):
+    for s, rest in zip(supports, reversed(rests)):
         keep = _sumset(need, [-r for r in rest], range(m + 1))  # the ranks that rest brings into need
         tables.append(_sumset(keep, [-r for r in products[-1]], s))
         products.append(_sumset(products[-1], tables[-1], keep))
-        if not j or s is not supports[j - 1]:  # a new table; the last is freed unless it is the product
-            held, table = table if j == 1 else held, len(tables[-1])
-            peak = max(peak, held + table + scratch)
-        if j:
-            peak, held = max(peak, held + table + len(products[-1])), len(products[-1])
-    return tables, products[2:], max(peak, held + 1 + scratch)
+    # a product, a table, and the next product or 3 scratch rows; the readout adds 4 (README)
+    steps = [len(p) + len(t) + max(len(q), 3) for p, t, q in zip(products[1:], tables[1:], products[2:])]
+    return tables, products[2:], max([len(products[-1]) + 4, *steps])
 
 
 def _fit_fold(peak: int, m: int, batch: int = 1) -> int:
-    """fit_budget of a fold plan's `peak` rows: three tables' worth."""
-    return fit_budget(f"a fold plan of {peak} rank rows x 2^{m} masks x {batch}", peak * 8 << m, batch, 3)
+    """fit_budget for a fold plan's `peak` rows over 2^m masks, in three budgets."""
+    row, budget = peak * 8 << m, 3 * core.RANK_TABLE_BUDGET
+    if row * batch > budget:
+        what = f"a fold plan of {peak} rank rows x 2^{m} masks x {batch}"
+        raise ValueError(f"{what} needs {row * batch} bytes, over the rank-table budget of {budget} bytes")
+    return budget // row
 
 
-def _fold(factors, supports: list[list[int]], need, m: int, mod, tabulate, scratch: int = 3):
+def _fold(factors, supports: list[list[int]], need, m: int, mod, tabulate):
     """(ranks, table): the subset convolution f_1 * ... * f_k (k >= 2) at
     the ranks in `need` that it can reach, one row a rank, each row read
-    only at masks of its rank.  Runs _fold_plan on the factors' rank
-    supports once _fit_fold admits it: tabulate(factor, m, mod, ranks)
-    builds a zeta table (one for a run of one repeated factor object),
-    products in the zeta domain, and a trimmed Moebius transform of the
-    last."""
-    tables, products, peak = _fold_plan(supports, need, m, scratch)
+    only at masks of its rank.  Once _fit_fold admits its plan: a zeta
+    table per run of one object by tabulate(factor, m, mod, ranks),
+    products, and a trimmed Moebius transform of the last."""
+    tables, products, peak = _fold_plan(supports, need, m)
     _fit_fold(peak, m, math.prod(np.shape(factors[0])[:-1]))
-    prod = prev = table = None
+    prod = prev = None
     for a, ranks, built in zip(factors, tables, [None] + products):
         if a is not prev:
             table = None  # freed before the next is built
@@ -319,7 +316,7 @@ def _convolve(arrays, m: int, mod, need) -> np.ndarray:
     rows, masks = _rank_slots(ranks, m)
     h = np.zeros(table.shape[1:], dtype=table.dtype)
     h[masks] = table[rows, masks]
-    return h % mod if mod else h  # once the gather is freed
+    return np.remainder(h, mod, out=h) if mod else h
 
 
 def _member_sum(members: np.ndarray, m: int, k: int, mod) -> np.ndarray:
@@ -330,7 +327,7 @@ def _member_sum(members: np.ndarray, m: int, k: int, mod) -> np.ndarray:
     if k == 1:  # h is the indicator
         return np.int64(len(members))
     support = _ranks(members, m)
-    ranks, table = _fold([members] * k, [support] * k, support, m, mod, _member_zeta, scratch=0)
+    ranks, table = _fold([members] * k, [support] * k, support, m, mod, _member_zeta)
     rows, masks = _rank_slots(ranks, m, members)
     values = table[rows, masks]
     if mod:

@@ -208,14 +208,12 @@ def _draw_functions(config: TrialConfig, trial_indices: np.ndarray) -> np.ndarra
 
 
 def _fit_trials(config: TrialConfig) -> int:
-    """The most trials that fit the size rule: a fold of n-1 factors on
-    every rank (n = 2 holds just its h row), and n x 2^m float64 draws plus
-    one plane as large for the sparse gate or the sign."""
+    """The most trials whose fold (n-1 factors on every rank) and draws (n x 2^m
+    float64, plus a plane as large for the sparse gate or the sign) fit."""
     n, m, full = config.n, config.m, range(config.m + 1)
-    rows = _fold_plan([list(full) for _ in range(n - 1)], full, m)[2] if n > 2 else 1
     planes = 1 + (config.distribution == "sparse" or config.signed)
     what = f"a trial's draw of {planes} planes x {n} functions x 2^{m} values"
-    return min(_fit_fold(rows, m), fit_budget(what, planes * n * 8 << m))
+    return min(_fit_fold(_fold_plan([full] * (n - 1), full, m)[2], m), fit_budget(what, planes * n * 8 << m))
 
 
 def _sides(tables, m: int, p: float) -> tuple[np.ndarray, np.ndarray]:

@@ -291,8 +291,5 @@ class TestFoldBudget:
         with pytest.raises(ValueError, match=r"^a fold plan of 72 rank rows x 2\^23 masks x 2 needs"):
             _fit_fold(72, 23, batch=2)
 
-    def test_a_plan_with_no_rows_fits(self):
-        assert _fit_fold(0, 24, batch=10**6) == 3 * core.RANK_TABLE_BUDGET
-
     def test_rank_table_checks_are_gone(self):
         assert not hasattr(core, "fit_rank_table")

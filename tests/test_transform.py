@@ -832,7 +832,7 @@ class TestRankTableBudget:
         m = 12
         family = SetFamily.from_masks(m, range(1 << m))
         row = 8 << m
-        peak = 26 * row  # n=3: the one 13-row table of the repeated factor, and the 13-row product
+        peak = 39 * row  # n=3: the 13-row table, counted for both factors, and the 13-row product
         assert self.refused_peak(monkeypatch, peak // 3 - 1, lambda: count_disjoint_tuples(family, 3)) < row
 
     def test_run_trials_refuses_before_drawing(self, monkeypatch):
