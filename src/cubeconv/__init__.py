@@ -8,7 +8,6 @@ from .core import (
     HoelderParams,
     SetFamily,
     exponent,
-    family_to_functions,
 )
 from .counting import CountReport, bound_report, count_disjoint_tuples, extremal_family
 from .transform import corner_convolution, moebius, subset_convolve, zeta
@@ -40,7 +39,6 @@ __all__ = [
     "equality_witness",
     "exponent",
     "extremal_family",
-    "family_to_functions",
     "moebius",
     "run_trials",
     "subset_convolve",

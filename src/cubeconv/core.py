@@ -93,14 +93,6 @@ class CubeFunction:
         table = self.table + 0
         return hash((self.flavor, tuple(table) if table.dtype == object else table.tobytes()))
 
-    @classmethod
-    def indicator(cls, m: int, masks) -> "CubeFunction":
-        """Integer 0/1 function that is 1 exactly on `masks` (an array-like
-        of mask ints)."""
-        table = np.zeros(1 << m, dtype=np.int64)
-        table[np.asarray(masks, dtype=np.int64)] = 1
-        return cls(m, table, INT)
-
 
 @dataclass(frozen=True, eq=False)
 class SetFamily:
@@ -208,7 +200,7 @@ def family_to_functions(family: SetFamily, n: int) -> list[CubeFunction]:
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    m = family.m
-    first = CubeFunction.indicator(m, family.members)
-    last = CubeFunction.indicator(m, family.members ^ ((1 << m) - 1))
-    return [first] * (n - 1) + [last]
+    table = np.zeros(1 << family.m, dtype=np.int64)
+    table[family.members] = 1
+    first = CubeFunction(family.m, table, INT)
+    return [first] * (n - 1) + [CubeFunction(family.m, table[::-1], INT)]  # S^c = (2^m - 1) - S

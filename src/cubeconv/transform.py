@@ -5,8 +5,10 @@ The fast route is the classic ranked transform: tabulate the zeta
 transform per subset cardinality, multiply rank polynomials pointwise,
 invert.  Every flavor runs on one numpy kernel: real flavor on float64,
 integer flavor exactly on int64 residues, in one pass that wraps mod 2^64
-and, when a bound on |result| needs more, passes mod primes below 2^31
-joined by the Chinese remainder theorem.
+and, when a bound on |result| needs more, passes mod primes p below 2^31
+joined by the Chinese remainder theorem.  A prime pass adds each rank
+product term, below p^2 < 2^62, to its row, below p, and reduces the row
+at once, so no int64 wraps.
 
 One fold serves every convolution: _fold_plan picks, in Python ints, the
 ranks each table and product holds, those that reach a wanted rank of h,
@@ -229,7 +231,10 @@ def _batch_rank_mult(a, b, m: int, mod=None, keep=None):
     built one at a time, so the operands stay in cache.  Block g holds the
     masks with high part g, and a term needs only those from low part
     2^(floor - |g|) - 1 on.  A skipped term is +-0 times a finite value,
-    and a sum from +0.0 never turns -0.0, so results are bit-identical."""
+    and a sum from +0.0 never turns -0.0, so results are bit-identical.
+    Under `mod` each term is added and its row reduced in place: the row
+    is below mod <= 2^31 - 1 and the term below mod^2 < 2^62, so the sum
+    does not wrap, and a k-term row takes k remainders."""
     (ranks_a, table_a, *floors_a), (ranks_b, table_b, *floors_b) = a, b
     floors_a, floors_b = (floors_a or [ranks_a])[0], (floors_b or [ranks_b])[0]
     slot_b = {r: j for j, r in enumerate(ranks_b)}
@@ -250,11 +255,9 @@ def _batch_rank_mult(a, b, m: int, mod=None, keep=None):
                 if lo < end:
                     t, acc = term[lo - start :], row[lo:end]  # names, so += stays in place
                     np.multiply(flat_a[ia, lo:end], flat_b[ib, lo:end], out=t)
-                    if mod:
-                        t %= mod
                     acc += t
-            if mod:
-                np.remainder(row[start:end], mod, out=row[start:end])
+                    if mod:
+                        acc %= mod
     return ranks, out, [min(row_floors) for row_floors in floors]
 
 

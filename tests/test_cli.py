@@ -204,12 +204,23 @@ class TestCountCommand:
         assert out["kernel"] == "brute"
         assert out["count"] == 9
 
-    def test_malformed_family_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "text, message",
+        [("m=2\n0,2\n", "line 2: element 0 out of range (1-based)"), ("m=3\n", "family file contains no sets")],
+    )
+    def test_malformed_family_exits_2(self, tmp_path, capsys, text, message):
         path = tmp_path / "bad.txt"
-        path.write_text("m=2\n0,2\n")
+        path.write_text(text)
         code, out, err = run_cli(capsys, "count", "--family", str(path), "--n", "3")
-        assert code == 2
-        assert "error" in err
+        assert (code, out, err) == (2, None, f"error: {message}\n")
+
+    def test_a_zero_count_has_no_log_and_no_ratio(self, tmp_path, capsys):
+        path = tmp_path / "fam.txt"
+        path.write_text("1\n2\n")  # no member is a disjoint union of two
+        assert cli.main(["count", "--family", str(path), "--n", "3"]) == 0
+        out = capsys.readouterr().out
+        assert '"count": 0, "family_size": 2, "holds": true, "kernel": "int64", "log_count": null' in out
+        assert out.endswith('"ratio": null}\n')
 
     @pytest.mark.parametrize("text", ["1000000000\n", "3\n1,1000000000\n", "m=1000000000\n1000000000\n"])
     def test_oversized_m_exits_2_before_building_masks(self, tmp_path, capsys, text):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import tracemalloc
 from math import comb
 
@@ -8,6 +9,7 @@ import pytest
 
 from cubeconv.core import SetFamily, exponent, family_to_functions
 from cubeconv.counting import (
+    BRUTE_TUPLE_CAP,
     bound_report,
     count_disjoint_tuples,
     extremal_family,
@@ -77,6 +79,17 @@ class TestCount:
     def test_rejects_n1(self):
         with pytest.raises(ValueError):
             count_disjoint_tuples(SetFamily(1, (0,)), 1)
+
+    @pytest.mark.parametrize(
+        "size, method, message",
+        [
+            (1, "x", "unknown method 'x'"),
+            (2**14, "brute", f"brute-force needs |X|^(n-1) = {2**28} > {BRUTE_TUPLE_CAP} tuples"),
+        ],
+    )
+    def test_refuses_a_method_it_cannot_run(self, size, method, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            count_disjoint_tuples(SetFamily(14, range(size)), 3, method)
 
     def test_fast_equals_brute_random(self):
         rng = random.Random(2024)

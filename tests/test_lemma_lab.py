@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -261,3 +262,20 @@ class TestMonotonicity:
             zs = np.geomspace(n / (n - 1) + 1e-9, 100.0, 1000)
             for a, b in zip(zs, zs[1:]):
                 assert z_ratio_monotonicity_check(n, a, b)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda p: B_dual([1.0, 2.0], [0.0], p), "x and b must have equal length"),
+        (lambda p: B_dual([1.0, 0.0], [0.0, 0.0], p), "need all x_i > 0"),
+        (lambda p: f_reduced([1.0, -1.0, 1.0], p), "need all y_i > 0"),
+        (lambda p: crit_residual([1.0, 0.0, 1.0], p), "need all y_i > 0"),
+        (lambda p: z_ratio_monotonicity_check(3, 2.0, 2.0), "need n/(n-1) <= z1 < z2, got (2.0, 2.0)"),
+        (lambda p: z_ratio_monotonicity_check(3, 1.2, 2.0), "need n/(n-1) <= z1 < z2, got (1.2, 2.0)"),
+    ],
+    ids=["B_dual-length", "B_dual-x", "f_reduced-y", "crit_residual-y", "z-order", "z-below-pole"],
+)
+def test_inputs_outside_the_domain_are_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(exponent(3))

@@ -69,6 +69,7 @@ class TestTable:
         assert f == g and hash(f) == hash(g)
         assert f != CubeFunction(1, [1, 3], INT)
         assert f != CubeFunction(1, [1, 2], REAL)
+        assert (f == 1) is False and (f == (1, 2)) is False  # not a CubeFunction
 
     def test_negative_zero_equals_zero(self):
         f, g = CubeFunction(1, [-0.0, 1.0]), CubeFunction(1, [0.0, 1.0])

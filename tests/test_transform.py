@@ -82,7 +82,7 @@ class TestZetaMoebius:
         assert zeta(CubeFunction(1, [1, 1], INT)).values == (1, 2)
 
     def test_zeta_indicator_of_empty_set(self):
-        f = CubeFunction.indicator(2, [0])
+        f = CubeFunction(2, [1, 0, 0, 0], INT)
         assert zeta(f).values == (1, 1, 1, 1)
 
     def test_moebius_m1(self):
@@ -247,6 +247,10 @@ class TestSubsetConvolve:
     def test_m_mismatch_rejected(self):
         with pytest.raises(ValueError):
             subset_convolve(CubeFunction(1, [1, 1], INT), CubeFunction(2, [1, 1, 1, 1], INT))
+
+    def test_a_corner_of_no_functions_is_refused(self):
+        with pytest.raises(ValueError, match="^need at least one function$"):
+            corner_convolution([])
 
 
 class TestCornerConvolution:
@@ -657,14 +661,18 @@ class TestKernelBoundaries:
         assert any(p > _BLOCK and p % _BLOCK for p in positions)
 
     @pytest.mark.parametrize("m,batch", BLOCK_CASES, ids=BLOCK_CASE_IDS)
-    @pytest.mark.parametrize("kind", ["float", "int", "mod"])
+    @pytest.mark.parametrize("kind", ["float", "int", "mod", "max-residue"])
     def test_blocked_rank_mult_equals_the_row_reference(self, m, batch, kind):
         rng = np.random.default_rng([m, len(batch), len(kind)])
         dtype = np.float64 if kind == "float" else np.int64
-        mod = MERSENNE if kind == "mod" else None
+        mod = None if kind in ("float", "int") else MERSENNE
         rank = np.array([s.bit_count() for s in range(1 << m)])
 
         def table():
+            if kind == "max-residue":  # p - 1 from each rank up: a row sums up to m + 1 terms of (p - 1)^2
+                live = rank >= np.arange(m + 1)[:, None]
+                rows = np.where(live, MERSENNE - 1, 0).reshape(live.shape + (1,) * len(batch))
+                return list(range(m + 1)), np.ascontiguousarray(np.broadcast_to(rows, live.shape + batch))
             shape = batch + (1 << m,)
             a = rng.standard_normal(shape) if kind == "float" else rng.integers(0, 2**20, shape)
             a[..., ~np.isin(rank, rng.choice(m + 1, size=rng.integers(1, m + 2), replace=False))] = 0

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import cubeconv
 from cubeconv import cli, transform, verifier
-from cubeconv.core import REAL, CubeFunction, exponent
+from cubeconv.core import INT, REAL, CubeFunction, exponent
 from cubeconv.verifier import (
     DISTRIBUTIONS,
     TrialConfig,
@@ -121,8 +121,18 @@ class TestMainInequality:
         with pytest.raises(ValueError):
             check_main_inequality([f, f], exponent(3))
 
+    def test_int_flavor_rejected(self):
+        f = CubeFunction(1, [1, 1], INT)
+        with pytest.raises(ValueError, match="^main inequality checks run in real flavor$"):
+            check_main_inequality([f, f], exponent(2))
+
 
 class TestTwoPoint:
+    @pytest.mark.parametrize("u, v", [((1, 0), (0, 1, 1)), ((1, 0, 0), (0, 1, 1, 1))])
+    def test_wrong_length_rejected(self, u, v):
+        with pytest.raises(ValueError, match="^expected 3 values per side$"):
+            check_two_point(u, v, exponent(3))
+
     def test_indicator_equality(self):
         check = check_two_point((1, 0, 0), (0, 1, 1), exponent(3))
         assert check.lhs == pytest.approx(1.0)
@@ -199,6 +209,10 @@ class TestPMonotonicity:
     def test_bad_order_rejected(self):
         with pytest.raises(ValueError):
             check_p_monotonicity([1.0], 2.0, 1.5)
+
+    def test_negative_input_rejected(self):
+        with pytest.raises(ValueError, match="^needs nonnegative inputs$"):
+            check_p_monotonicity([1.0, -0.5], 1.5, 2.0)
 
 
 class TestEqualityWitness:
@@ -366,6 +380,9 @@ class TestTrials:
         assert run_trials(TrialConfig(n=3, m=4, trials=2, seed=2**64 - 1))["failures"] == 0
         with pytest.raises(ValueError):
             TrialConfig(n=3, m=4, trials=1, seed=1, distribution="cauchy")
+        for density in (0.0, 1.5):
+            with pytest.raises(ValueError, match=r"^density must be in \(0, 1\], got "):
+                TrialConfig(n=3, m=4, trials=1, seed=1, density=density)
 
 
 def force_pieces(monkeypatch, cpus):
