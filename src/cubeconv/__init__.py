@@ -5,7 +5,6 @@ from .core import (
     INT,
     REAL,
     CubeFunction,
-    HoelderParams,
     SetFamily,
     exponent,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "INT",
     "REAL",
     "CubeFunction",
-    "HoelderParams",
     "SetFamily",
     "CountReport",
     "TrialConfig",

@@ -228,8 +228,8 @@ def _emit(report: dict) -> None:
 
 
 def _cmd_exponent(args) -> int:
-    params = exponent(args.n)
-    _emit({"n": params.n, "p": params.p, "r": params.r, "c": params.c})
+    p = exponent(args.n)
+    _emit({"n": args.n, "p": p, "r": p - 1.0, "c": args.n / p})
     return EXIT_OK
 
 
@@ -251,7 +251,7 @@ def _cmd_verify(args) -> int:
     if args.functions is not None:
         with open(args.functions, encoding="utf-8") as fh:
             fs = parse_functions(fh.read())
-        check = verifier.check_main_inequality(fs, exponent(len(fs)))
+        check = verifier.check_main_inequality(fs)
         _emit(
             {
                 "mode": "functions",
@@ -268,7 +268,7 @@ def _cmd_verify(args) -> int:
         return EXIT_OK if check.passed else EXIT_VIOLATION
     if args.witness:
         fs = verifier.equality_witness(args.n, args.m)
-        check = verifier.check_main_inequality(fs, exponent(args.n))
+        check = verifier.check_main_inequality(fs)
         tol = 1e-9 * max(1, args.m)
         ok = check.ratio is not None and abs(check.ratio - 1.0) <= tol
         _emit(
@@ -300,7 +300,7 @@ def _cmd_extremal(args) -> int:
             "family_size": report.family_size,
             "count": report.count,
             "ratio": report.ratio,
-            "c": exponent(args.n).c,
+            "c": args.n / exponent(args.n),
             "holds": report.holds,
         }
     )
@@ -308,11 +308,11 @@ def _cmd_extremal(args) -> int:
 
 
 def _cmd_lemma(args) -> int:
-    params = exponent(args.n)
+    exponent(args.n)  # refuses n before --k is read
     if args.action == "solve":
         if args.k is None:
             raise ValueError("lemma solve requires --k")
-        report = lemma_lab.solve_critical_system(args.n, args.k, params)
+        report = lemma_lab.solve_critical_system(args.n, args.k)
         payload = dataclasses.asdict(report)
         payload["residual_tol"] = lemma_lab.RESIDUAL_TOL
         payload["identity_tol"] = lemma_lab.IDENTITY_TOL
@@ -325,7 +325,7 @@ def _cmd_lemma(args) -> int:
             or report.last_value < -lemma_lab.RESIDUAL_TOL
         )
         return EXIT_VIOLATION if bad else EXIT_OK
-    report = lemma_lab.scan_last_value(args.n, params, grid=args.grid)
+    report = lemma_lab.scan_last_value(args.n, grid=args.grid)
     report["per_k"] = {str(k): v for k, v in report["per_k"].items()}
     _emit(report)
     return EXIT_OK if report["min_last_value"] >= -lemma_lab.RESIDUAL_TOL else EXIT_VIOLATION

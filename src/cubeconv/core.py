@@ -68,13 +68,7 @@ class CubeFunction:
         check_m(self.m)
         if self.flavor not in (REAL, INT):
             raise ValueError(f"unknown flavor {self.flavor!r}")
-        if self.flavor == REAL:
-            table = np.array(self.table, dtype=np.float64)
-        else:
-            try:
-                table = np.array(self.table, dtype=np.int64)
-            except OverflowError:  # some value needs more than 64 bits
-                table = np.array(self.table, dtype=object)
+        table = np.array(self.table, dtype=np.float64) if self.flavor == REAL else _int_table(self.table)
         if table.shape != (1 << self.m,):
             raise ValueError(f"need exactly {1 << self.m} values, got {table.size}")
         table.flags.writeable = False
@@ -92,6 +86,21 @@ class CubeFunction:
     def __hash__(self):  # + 0 turns -0.0 into 0.0; an object table hashes its Python ints
         table = self.table + 0
         return hash((self.flavor, tuple(table) if table.dtype == object else table.tobytes()))
+
+
+def _int_table(values) -> np.ndarray:
+    """A fresh table, int64 or object past 64 bits; refuses a non-integer (a float, even 2.0)."""
+    table = values if isinstance(values, np.ndarray) else np.array(values)
+    if table.dtype.kind in "bi":  # one pass for an int ndarray or a list of int64s
+        return np.array(table, dtype=np.int64)
+    table = np.array(values, dtype=object)  # as given: numpy reads [2**63, 0] as float64
+    bad = [t for t in set(map(type, table.flat)) if not issubclass(t, numbers.Integral)]
+    if bad:
+        raise ValueError(f"integer flavor refuses {next(v for v in table.flat if type(v) in bad)!r}")
+    try:
+        return table.astype(np.int64)
+    except OverflowError:  # some value needs more than 64 bits
+        return table
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,32 +157,20 @@ def _check_p(n: int, p: float) -> None:
         raise ValueError(f"p={p} for n={n} is outside (1, 2] or off p_n by more than {P_REL_TOL} relative")
 
 
-@dataclass(frozen=True)
-class HoelderParams:
-    """The sharp exponent p_n and its companions r = p-1, c = n/p."""
-
-    n: int
-    p: float
-    r: float
-    c: float
-
-    def __post_init__(self):
-        _check_p(self.n, self.p)
-
-
-def exponent(n: int) -> HoelderParams:
+def exponent(n: int) -> float:
     """Sharp exponent p_n = [n ln n - (n-1) ln(n-1)] / ln n for n >= 2.
 
     Uses the expanded logarithm form: n^n overflows floats long before
     n=64, the expanded form never does.  Its difference cancels as n grows
     (to 0 at n = 10^16), so n is capped at MAX_N, which keeps p in (1, 2]
-    and c = n/p finite; HoelderParams then checks p (_check_p).
+    and c = n/p finite; _check_p then checks p.
     """
     if not 2 <= n <= MAX_N:
         raise ValueError(f"exponent requires 2 <= n <= {MAX_N} (n=1 has a 0/0 exponent), got {n}")
     ln_n = math.log(n)
     p = (n * ln_n - (n - 1) * math.log(n - 1)) / ln_n
-    return HoelderParams(n=n, p=p, r=p - 1.0, c=n / p)
+    _check_p(n, p)
+    return p
 
 
 def lp_norms(x: np.ndarray, p: float) -> np.ndarray:

@@ -85,7 +85,7 @@ def bound_report(family: SetFamily, n: int, method: str = "fast") -> CountReport
     not after a count that takes minutes."""
     _check_count(family, n, method)
     size = len(family)
-    bound_log = exponent(n).c * math.log(size) if size >= 1 else 0.0
+    bound_log = n / exponent(n) * math.log(size) if size >= 1 else 0.0
     count, kernel = _count(family, n, method)
     log_count = math.log(count) if count >= 1 else float("-inf")
     ratio = log_count / math.log(size) if size >= 2 and count >= 1 else None

@@ -5,6 +5,7 @@ log inequality.
 
 Everything here is desk-scale numerics: bracketed bisection, fixed
 grids, explicit residuals.  Nothing is proved, everything is measured.
+r = p_n - 1, for n a function's n or its input's length.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HoelderParams, fit_budget
+from .core import exponent, fit_budget
 
 RESIDUAL_TOL = 1e-9
 IDENTITY_TOL = 1e-7
@@ -34,9 +35,10 @@ def log_dual_gap(x: float, b: float) -> float:
     return (b + math.exp(-b) * x - 1.0) - math.log(x)
 
 
-def B_dual(x, b, params: HoelderParams) -> float:
+def B_dual(x, b) -> float:
     """Dual objective: sum_i (b_i + (1+x_i^p) e^{-b_i} - 1) - p ln(sum x_i)."""
-    x, b, p = list(x), list(b), params.p
+    x, b = list(x), list(b)
+    p = exponent(len(x))
     if len(x) != len(b):
         raise ValueError("x and b must have equal length")
     if any(v <= 0 for v in x):
@@ -45,7 +47,7 @@ def B_dual(x, b, params: HoelderParams) -> float:
     return head - p * math.log(sum(x))
 
 
-def critical_x(b, params: HoelderParams) -> tuple[list[float], float]:
+def critical_x(b) -> tuple[list[float], float]:
     """Stationary point of B_dual in x for fixed b:
     x*_k = e^{b_k/(p-1)} / (sum_i e^{b_i/(p-1)})^{1/p}.
 
@@ -54,7 +56,8 @@ def critical_x(b, params: HoelderParams) -> tuple[list[float], float]:
     b = list(b)
     if any(abs(v) > 500 for v in b):
         raise ValueError("b outside [-500, 500] would overflow exp")
-    p, r = params.p, params.r
+    p = exponent(len(b))
+    r = p - 1.0
     expb = [math.exp(v / r) for v in b]
     total = sum(expb)
     xs = [e / total ** (1.0 / p) for e in expb]
@@ -65,13 +68,13 @@ def critical_x(b, params: HoelderParams) -> tuple[list[float], float]:
     return xs, sum_x
 
 
-def f_reduced(y, params: HoelderParams) -> float:
+def f_reduced(y) -> float:
     """Reduced objective after substituting the critical x:
     1 - n + sum ln y_i^r + sum y_i^{-r} - r ln(sum y_i)."""
     y = list(y)
     if any(v <= 0 for v in y):
         raise ValueError("need all y_i > 0")
-    n, r = len(y), params.r
+    n, r = len(y), exponent(len(y)) - 1.0
     return (
         1.0
         - n
@@ -81,7 +84,7 @@ def f_reduced(y, params: HoelderParams) -> float:
     )
 
 
-def crit_residual(y, params: HoelderParams) -> tuple[float, float]:
+def crit_residual(y) -> tuple[float, float]:
     """How far y is from the stationarity system
     1/y_i - 1/y_i^{r+1} = 1/sum y_k.
 
@@ -91,7 +94,7 @@ def crit_residual(y, params: HoelderParams) -> tuple[float, float]:
     y = list(y)
     if any(v <= 0 for v in y):
         raise ValueError("need all y_i > 0")
-    r = params.r
+    r = exponent(len(y)) - 1.0
     inv_total = 1.0 / sum(y)
     residual = max(abs(1.0 / v - v ** -(r + 1.0) - inv_total) for v in y)
     identity_gap = abs(sum(v**-r for v in y) - (len(y) - 1))
@@ -103,22 +106,22 @@ def _last_value(n, k, z, r):
     return (n - 1) * np.log(z) + (n - k) * np.log((n - k) / ((n - 1) * z - k)) - r * np.log(z / (z - 1.0))
 
 
-def last_value(n: int, k: int, z: float, params: HoelderParams) -> float:
+def last_value(n: int, k: int, z: float) -> float:
     """Final scalar inequality value at a critical configuration:
     (n-1) ln z + (n-k) ln((n-k)/((n-1)z-k)) - r ln(z/(z-1))."""
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k}")
     if z <= 1.0 or (n - 1) * z - k <= 0:
         raise ValueError(f"nonpositive logarithm argument at z={z}")
-    return float(_last_value(n, k, z, params.r))
+    return float(_last_value(n, k, z, exponent(n) - 1.0))
 
 
-def k_monotonicity_check(n: int, z: float, params: HoelderParams) -> bool:
+def k_monotonicity_check(n: int, z: float) -> bool:
     """k -> (n-k) ln((n-k)/((n-1)z-k)) is nondecreasing on 1..n-1."""
     if z <= n / (n - 1):
         raise ValueError(f"need z > n/(n-1), got {z}")
     # the last value's other two terms do not depend on k
-    return bool(np.all(np.diff(_last_value(n, np.arange(1, n), z, params.r)) >= -1e-12))
+    return bool(np.all(np.diff(_last_value(n, np.arange(1, n), z, exponent(n) - 1.0)) >= -1e-12))
 
 
 def z_ratio_monotonicity_check(n: int, z1: float, z2: float) -> bool:
@@ -170,7 +173,7 @@ def _bisect(gap, lo, hi, f_lo):
     return 0.5 * (lo + hi)
 
 
-def solve_critical_system(n: int, k: int, params: HoelderParams) -> CriticalPointReport:
+def solve_critical_system(n: int, k: int) -> CriticalPointReport:
     """Solve the z-equation for z >= 1+r, derive u = z^{1/r} and v, and
     evaluate all residuals of the stationarity system.
 
@@ -183,7 +186,7 @@ def solve_critical_system(n: int, k: int, params: HoelderParams) -> CriticalPoin
     """
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k}")
-    r = params.r
+    r = exponent(n) - 1.0
     lo = 1.0 + r
 
     # admissible upper end: pole of the denominator for k >= 2
@@ -221,7 +224,7 @@ def solve_critical_system(n: int, k: int, params: HoelderParams) -> CriticalPoin
     if abs(v_direct - v) > 1e-9 * max(1.0, v):
         raise AssertionError(f"v cross-check failed at (n={n}, k={k}): {v_direct} vs {v}")
     y = [u] * k + [v] * (n - k)
-    residual, identity_gap = (float(t) for t in crit_residual(y, params))
+    residual, identity_gap = (float(t) for t in crit_residual(y))
     total = sum(y)
     sum_log_gap = sum(math.log(t) for t in y) - math.log(total)
     return CriticalPointReport(
@@ -234,13 +237,13 @@ def solve_critical_system(n: int, k: int, params: HoelderParams) -> CriticalPoin
         v=v,
         residual_eq1=residual,
         identity_gap=identity_gap,
-        last_value=last_value(n, k, z, params),
+        last_value=last_value(n, k, z),
         sum_log_gap=sum_log_gap,
         extra_sign_changes=extra,
     )
 
 
-def scan_last_value(n: int, params: HoelderParams, grid: int = 10_000) -> dict:
+def scan_last_value(n: int, grid: int = 10_000) -> dict:
     """Minimum of the final inequality value over a log grid in z for
     every k; the grid starts just above max(1+r, n/(n-1)) and ends at
     SCAN_Z_MAX."""
@@ -248,7 +251,7 @@ def scan_last_value(n: int, params: HoelderParams, grid: int = 10_000) -> dict:
         raise ValueError("need at least 2 grid points")
     # zs, the last k's values, the partial sum and two temporaries: five float64 arrays at once
     fit_budget(f"a scan grid of {grid} points", 5 * 8, grid)
-    r = params.r
+    r = exponent(n) - 1.0
     z_lo = max(1.0 + r, n / (n - 1) + 1e-6)
     zs = np.geomspace(z_lo, SCAN_Z_MAX, grid)
     per_k = {}

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import REAL, CubeFunction, HoelderParams, check_m, exponent, fit_budget, lp_norms, popcounts
+from .core import REAL, CubeFunction, check_m, exponent, fit_budget, lp_norms, popcounts
 from .transform import _fit_fold, _fold_plan, batch_corner_value
 
 # Both sides of a check can be ~0, so pass/fail combines a relative and
@@ -115,27 +115,27 @@ def _verdict(lhs: float, rhs: float) -> InequalityCheck:
     )
 
 
-def check_main_inequality(fs: list[CubeFunction], params: HoelderParams) -> InequalityCheck:
-    """Corner convolution against the product of p_n norms."""
-    if len(fs) != params.n:
-        raise ValueError(f"expected {params.n} functions, got {len(fs)}")
+def check_main_inequality(fs: list[CubeFunction]) -> InequalityCheck:
+    """Corner convolution against the product of p_n norms, n = len(fs)."""
+    p = exponent(len(fs))
     if any(f.flavor != REAL for f in fs):
         raise ValueError("main inequality checks run in real flavor")
     if any(f.m != fs[0].m for f in fs):
         raise ValueError(f"ground-set size mismatch: {[f.m for f in fs]}")
     # A list, not a stacked array: a repeated function (equality_witness)
     # stays one array, so the corner tabulates it once.
-    lhs, rhs = _sides([f.table for f in fs], fs[0].m, params.p)
+    lhs, rhs = _sides([f.table for f in fs], fs[0].m, p)
     return _verdict(lhs.item(), rhs.item())
 
 
-def check_two_point(u, v, params: HoelderParams) -> InequalityCheck:
+def check_two_point(u, v) -> InequalityCheck:
     """One-dimensional form: sum_j u_j prod_{i != j} v_i versus the
-    product of two-point p_n norms.  Signed inputs allowed."""
-    u, v, p = list(u), list(v), params.p
-    if len(u) != params.n or len(v) != params.n:
-        raise ValueError(f"expected {params.n} values per side")
-    lhs = sum(u[j] * math.prod(v[i] for i in range(params.n) if i != j) for j in range(params.n))
+    product of two-point p_n norms, n = len(u).  Signed inputs allowed."""
+    u, v = list(u), list(v)
+    n, p = len(u), exponent(len(u))
+    if len(v) != n:
+        raise ValueError(f"expected {n} values per side")
+    lhs = sum(u[j] * math.prod(v[i] for i in range(n) if i != j) for j in range(n))
     rhs = math.prod((abs(a) ** p + abs(b) ** p) ** (1.0 / p) for a, b in zip(u, v))
     return _verdict(lhs, rhs)
 
@@ -145,12 +145,12 @@ def _power_sum(x: list, p: float) -> float:
     return sum(v ** (1.0 / p) for v in x) ** p
 
 
-def check_lemma_mine(x, params: HoelderParams) -> InequalityCheck:
-    """(sum x_i^(1/p))^p <= prod (1 + x_i) for nonnegative x_i."""
+def check_lemma_mine(x) -> InequalityCheck:
+    """(sum x_i^(1/p))^p <= prod (1 + x_i) for nonnegative x_i, n = len(x)."""
     x = list(x)
     if any(v < 0 for v in x):
         raise ValueError("lemma check needs nonnegative inputs")
-    lhs = _power_sum(x, params.p)
+    lhs = _power_sum(x, exponent(len(x)))
     rhs = math.prod(1.0 + v for v in x)
     return _verdict(lhs, rhs)
 
@@ -175,7 +175,7 @@ def equality_witness(n: int, m: int) -> list[CubeFunction]:
     for the per-coordinate value ratio to hit the tight configuration.
     """
     check_m(m)  # before the 2^m values are built
-    p = exponent(n).p  # which refuses n < 2
+    p = exponent(n)  # which refuses n < 2
     w = (1.0 / (n - 1)) ** (1.0 / p)
     powers = np.array([w**k for k in range(m + 1)])  # w^|S| depends on |S| alone
     return [CubeFunction(m, powers[popcounts(m)], REAL)] * n
@@ -282,7 +282,7 @@ def run_trials(config: TrialConfig, chunk: int = 1024) -> dict:
     with failure count and the largest lhs/rhs ratio observed.  A trial's
     sides do not depend on its chunk or piece, so the report does not
     depend on the CPU count."""
-    p = exponent(config.n).p
+    p = exponent(config.n)
     chunk = min(chunk, _fit_trials(config))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1  # not on macOS
     failures = 0

@@ -30,9 +30,9 @@ def report(number, ok, detail):
 
 
 def test_criterion_1_exponent_goldens():
-    c3 = exponent(3).c
-    p2 = exponent(2).p
-    ps = [exponent(n).p for n in range(2, 65)]
+    c3 = 3 / exponent(3)
+    p2 = exponent(2)
+    ps = [exponent(n) for n in range(2, 65)]
     ok = abs(c3 - 1.725) <= 2e-3 and p2 == 2.0 and all(a > b for a, b in zip(ps, ps[1:]))
     report(1, ok, f"c(3)={c3:.6f}, p_2={p2}, p_n strictly decreasing on 2..64")
 
@@ -75,9 +75,8 @@ def test_criterion_3_theorem_holds_empirically():
 def test_criterion_4_equality_witnesses():
     worst = 0.0
     for n in range(2, 9):
-        params = exponent(n)
         for m in range(1, 7):
-            check = check_main_inequality(equality_witness(n, m), params)
+            check = check_main_inequality(equality_witness(n, m))
             gap = abs(check.ratio - 1.0)
             assert gap <= 1e-9 * max(1, m), (n, m, check.ratio)
             worst = max(worst, gap / max(1, m))
@@ -151,22 +150,21 @@ def test_criterion_7_lemma_lab():
 
     solved = []
     for n in range(3, 11):
-        params = exponent(n)
         for k in range(1, n):
-            rep = solve_critical_system(n, k, params)
+            rep = solve_critical_system(n, k)
             if rep.status != "ok":
                 continue
             assert rep.residual_eq1 < 1e-9, (n, k)
             assert rep.identity_gap < 1e-7, (n, k)
             assert rep.last_value >= -1e-9, (n, k)
             solved.append((n, k))
-        scan = scan_last_value(n, params, grid=10_000)
+        scan = scan_last_value(n, grid=10_000)
         assert scan["min_last_value"] >= -1e-9, n
 
         z_lo = n / (n - 1) + 1e-6
         zs = [z_lo * (200.0 / z_lo) ** (i / 999) for i in range(1000)]
         for z in zs:
-            assert k_monotonicity_check(n, z, params)
+            assert k_monotonicity_check(n, z)
         for a, b2 in zip(zs, zs[1:]):
             assert z_ratio_monotonicity_check(n, a, b2)
     ok = all((n, 1) in solved for n in range(3, 11))

@@ -135,6 +135,13 @@ class TestExponentCommand:
         assert code == 0
         assert out["p"] == 2.0
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 64, MAX_N])
+    def test_prints_p_and_its_derived_fields(self, capsys, n):
+        ln_n = math.log(n)
+        p = (n * ln_n - (n - 1) * math.log(n - 1)) / ln_n  # the expanded form
+        assert cli.main(["exponent", "--n", str(n)]) == 0
+        assert capsys.readouterr().out == json.dumps({"c": n / p, "n": n, "p": p, "r": p - 1.0}) + "\n"
+
     @pytest.mark.parametrize("n", [10**15, 10**16, 10**400])
     def test_n_whose_p_cancels_exits_2(self, capsys, n):
         # n ln n - (n-1) ln(n-1) cancels: to p = 1.04231 (not 1.02895) at

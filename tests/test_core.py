@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 import cubeconv
-from cubeconv import core
+from cubeconv import core, lemma_lab
 from cubeconv.core import (
     INT,
     REAL,
     CubeFunction,
-    HoelderParams,
     SetFamily,
     exponent,
     family_to_functions,
@@ -21,15 +20,15 @@ from cubeconv.verifier import _sides
 
 class TestExponent:
     def test_n2_is_exactly_two(self):
-        assert exponent(2).p == 2.0
+        assert exponent(2) == 2.0
 
     def test_n3_counting_exponent(self):
         # c(3) ~ 1.725
-        assert abs(exponent(3).c - 1.725) <= 2e-3
+        assert abs(3 / exponent(3) - 1.725) <= 2e-3
 
     def test_n4_pinned(self):
         # ln(256/27)/ln 4, evaluated independently at high precision
-        assert exponent(4).p == pytest.approx(1.622556248918, abs=5e-13)
+        assert exponent(4) == pytest.approx(1.622556248918, abs=5e-13)
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
@@ -38,27 +37,27 @@ class TestExponent:
             exponent(0)
 
     def test_strictly_decreasing_and_in_range(self):
-        ps = [exponent(n).p for n in range(2, 65)]
+        ps = [exponent(n) for n in range(2, 65)]
         assert all(1.0 < p <= 2.0 for p in ps)
         assert all(a > b for a, b in zip(ps, ps[1:]))
 
     def test_log_identity(self):
         for n in range(2, 65):
-            lhs = exponent(n).p * math.log(n)
+            lhs = exponent(n) * math.log(n)
             rhs = n * math.log(n) - (n - 1) * math.log(n - 1)
             assert abs(lhs - rhs) <= 1e-13 * rhs
 
     def test_p_keeps_the_expanded_form_bits(self):
         for n in range(2, core.MAX_N + 1):
             ln_n = math.log(n)
-            assert exponent(n).p == (n * ln_n - (n - 1) * math.log(n - 1)) / ln_n
+            assert exponent(n) == (n * ln_n - (n - 1) * math.log(n - 1)) / ln_n
 
     def test_p_is_checked_against_the_cancellation_free_form(self):
         for n in (2, 3, 64, 999):
             free = 1.0 + (n - 1) * math.log1p(1 / (n - 1)) / math.log(n)
-            assert abs(exponent(n).p - free) <= core.P_REL_TOL * free
+            assert abs(exponent(n) - free) <= core.P_REL_TOL * free
         with pytest.raises(ValueError, match="off p_n"):
-            HoelderParams(n=3, p=1.5, r=0.5, c=2.0)
+            core._check_p(3, 1.5)
 
     @pytest.mark.parametrize("n", [10**7, 10**15, 10**16, 10**400])
     def test_cancelling_n_is_refused_before_c(self, n):
@@ -74,9 +73,12 @@ class TestExponent:
                 exponent(n)
 
     def test_derived_fields(self):
-        params = exponent(7)
-        assert params.r == params.p - 1.0
-        assert params.c == 7 / params.p
+        # r = p - 1.0 and c = n / p, as their readers compute them
+        p = exponent(7)
+        assert type(p) is float
+        assert lemma_lab.solve_critical_system(7, 1).r == p - 1.0
+        report = cubeconv.bound_report(SetFamily.from_masks(3, [1, 2, 4]), 7)
+        assert report.bound_log == 7 / p * math.log(3)
 
 
 class TestLpNorm:
@@ -261,7 +263,7 @@ class TestPackage:
             assert getattr(cubeconv, name) is not None
 
     @pytest.mark.parametrize(
-        "name", ["SubsetMask", "is_disjoint", "union", "complement", "popcount"]
+        "name", ["SubsetMask", "is_disjoint", "union", "complement", "popcount", "HoelderParams"]
     )
     def test_removed_names_are_gone(self, name):
         assert name not in cubeconv.__all__

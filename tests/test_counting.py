@@ -276,7 +276,7 @@ class TestBoundReport:
     def test_powerset_of_two(self):
         rep = bound_report(SetFamily(2, (0, 1, 2, 3)), 3)
         assert rep.count == 9
-        assert rep.bound_log == pytest.approx(exponent(3).c * math.log(4))
+        assert rep.bound_log == pytest.approx(3 / exponent(3) * math.log(4))
         assert math.exp(rep.bound_log) == pytest.approx(10.95, abs=0.01)
         assert rep.holds
 
@@ -315,7 +315,7 @@ class TestExtremalFamily:
             assert count_disjoint_tuples(fam, n, "fast") == extremal_count_closed_form(n, t)
 
     def test_ratio_increasing_in_t_and_below_c(self):
-        c3 = exponent(3).c
+        c3 = 3 / exponent(3)
         prev = 0.0
         for t in range(1, 8):
             fam = extremal_family(3, t)

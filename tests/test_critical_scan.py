@@ -76,10 +76,10 @@ def reference_scan(n, k, r):
 
 @pytest.mark.parametrize("n", range(2, 61))
 def test_array_scan_finds_the_loops_bracket_and_sign_changes(n):
-    r = exponent(n).r
+    r = exponent(n) - 1.0
     for k in range(1, n):
         status, bracket, extra = reference_scan(n, k, r)
-        report = solve_critical_system(n, k, exponent(n))
+        report = solve_critical_system(n, k)
         if status == "degenerate":
             assert (report.status, report.z) == ("ok", 1.0 + r), (n, k)
         elif status == "ok":
@@ -103,12 +103,12 @@ def test_denominator_and_v_numerator_stay_positive():
     the k >= 2 cases, up to pole (1 - 1e-12)."""
     scans = roots = 0
     for n, k in GRID:
-        r = exponent(n).r
+        r = exponent(n) - 1.0
         interval = scan_interval(k, r)
         if interval is None:
             continue
         zs = np.geomspace(*interval, _SCAN_POINTS)
-        report = solve_critical_system(n, k, exponent(n))
+        report = solve_critical_system(n, k)
         if report.status == "ok":
             zs = np.append(zs, report.z)
             roots += 1
@@ -127,13 +127,13 @@ def test_last_value_and_k_monotonicity_match_the_scalar_form():
     """np.log may round differently from math.log, so last_value may move
     by a few ulp of its largest term; the monotonicity verdicts stay."""
     for n in list(range(2, 41)) + [500, 4000]:
-        params = exponent(n)
-        z_lo = max(1.0 + params.r, n / (n - 1))
+        r = exponent(n) - 1.0
+        z_lo = max(1.0 + r, n / (n - 1))
         for z in z_lo * np.geomspace(1 + 1e-9, 1e4, 25):
             z = float(z)
             for k in sorted({1, min(2, n - 1), n // 2, n - 1}):
-                a, b, c = scalar_terms(n, k, z, params.r)
-                assert abs(last_value(n, k, z, params) - (a + b - c)) <= 4 * math.ulp(max(abs(a), abs(b), abs(c)))
-            k_terms = [scalar_terms(n, k, z, params.r)[1] for k in range(1, n)]
+                a, b, c = scalar_terms(n, k, z, r)
+                assert abs(last_value(n, k, z) - (a + b - c)) <= 4 * math.ulp(max(abs(a), abs(b), abs(c)))
+            k_terms = [scalar_terms(n, k, z, r)[1] for k in range(1, n)]
             loop_verdict = all(y - x >= -1e-12 for x, y in zip(k_terms, k_terms[1:]))
-            assert (k_monotonicity_check(n, z, params), loop_verdict) == (True, True), (n, z)
+            assert (k_monotonicity_check(n, z), loop_verdict) == (True, True), (n, z)

@@ -49,6 +49,25 @@ class TestTable:
         assert CubeFunction(1, values, flavor).table.dtype == dtype
 
     @pytest.mark.parametrize(
+        "values, bad",
+        [
+            ([0.5, 1.5], "0.5"),
+            ([2.9, -1.9], "2.9"),
+            ([math.inf, 1.0], "inf"),
+            ([2**70, 0.5], "0.5"),
+            ([1, 2.0], "2.0"),
+            (np.array([1.0, 2.0]), "1.0"),
+        ],
+    )
+    def test_int_flavor_refuses_a_value_that_is_no_integer(self, values, bad):
+        with pytest.raises(ValueError, match=rf"^integer flavor refuses {bad}$"):
+            CubeFunction(1, values, INT)
+
+    def test_uint64_past_int64_is_kept_exact(self):
+        f = CubeFunction(1, np.array([2**63, 1], dtype=np.uint64), INT)
+        assert f.table.dtype == object and f.values == (2**63, 1)
+
+    @pytest.mark.parametrize(
         "values, flavor",
         [
             ([0.5, -0.0, 1e300, -3.25], REAL),

@@ -42,22 +42,21 @@ def random_real_functions(rng, n, m, signed=False):
 class TestMainInequality:
     def test_n2_constant_equality(self):
         f = CubeFunction(1, [1.0, 1.0])
-        check = check_main_inequality([f, f], exponent(2))
+        check = check_main_inequality([f, f])
         assert check.lhs == pytest.approx(2.0)
         assert check.rhs == pytest.approx(2.0)
         assert check.ratio == pytest.approx(1.0, abs=1e-12)
         assert check.passed
 
     def test_remark_two_point_witness(self):
-        check = check_main_inequality(equality_witness(3, 1), exponent(3))
+        check = check_main_inequality(equality_witness(3, 1))
         assert check.ratio == pytest.approx(1.0, abs=1e-12)
 
     def test_random_uniform_passes_with_brute_oracle(self):
         rng = random.Random(314)
-        params = exponent(3)
         for _ in range(20):
             fs = random_real_functions(rng, 3, 4)
-            check = check_main_inequality(fs, params)
+            check = check_main_inequality(fs)
             assert check.passed
             assert check.ratio < 1.0
             assert check.lhs == pytest.approx(
@@ -66,12 +65,11 @@ class TestMainInequality:
 
     def test_homogeneity(self):
         rng = random.Random(55)
-        params = exponent(4)
         fs = random_real_functions(rng, 4, 3, signed=True)
-        base = check_main_inequality(fs, params)
+        base = check_main_inequality(fs)
         for lam in (0.25, 3.0, 17.5):
             scaled = [CubeFunction(3, [lam * v for v in fs[0].values], REAL)] + fs[1:]
-            check = check_main_inequality(scaled, params)
+            check = check_main_inequality(scaled)
             assert check.lhs == pytest.approx(lam * base.lhs, rel=1e-12, abs=1e-12)
             assert check.rhs == pytest.approx(lam * base.rhs, rel=1e-12)
             assert check.ratio == pytest.approx(base.ratio, rel=1e-12)
@@ -79,13 +77,12 @@ class TestMainInequality:
 
     def test_signed_lhs_dominated_by_absolute_lhs(self):
         rng = random.Random(77)
-        params = exponent(3)
         for _ in range(25):
             fs = random_real_functions(rng, 3, 3, signed=True)
             abs_fs = [CubeFunction(3, [abs(v) for v in f.values], REAL) for f in fs]
             assert (
-                check_main_inequality(abs_fs, params).lhs
-                >= check_main_inequality(fs, params).lhs - 1e-12
+                check_main_inequality(abs_fs).lhs
+                >= check_main_inequality(fs).lhs - 1e-12
             )
 
     def test_the_witness_is_tabulated_once(self, monkeypatch):
@@ -99,7 +96,7 @@ class TestMainInequality:
             return ranked_zeta(*args, **kwargs)
 
         monkeypatch.setattr(transform, "_batch_ranked_zeta", spy)
-        check = check_main_inequality(equality_witness(4, 6), exponent(4))
+        check = check_main_inequality(equality_witness(4, 6))
         assert len(calls) == 1
         assert check.ratio == pytest.approx(1.0, abs=1e-9 * 6)
 
@@ -114,35 +111,34 @@ class TestMainInequality:
 
     def test_ground_set_mismatch_rejected(self):
         with pytest.raises(ValueError, match=r"^ground-set size mismatch: \[1, 2\]$"):
-            check_main_inequality([CubeFunction(1, [1.0] * 2), CubeFunction(2, [1.0] * 4)], exponent(2))
+            check_main_inequality([CubeFunction(1, [1.0] * 2), CubeFunction(2, [1.0] * 4)])
 
     def test_wrong_arity_rejected(self):
         f = CubeFunction(1, [1.0, 1.0])
-        with pytest.raises(ValueError):
-            check_main_inequality([f, f], exponent(3))
+        with pytest.raises(ValueError, match="^exponent requires 2 <= n"):
+            check_main_inequality([f])
 
     def test_int_flavor_rejected(self):
         f = CubeFunction(1, [1, 1], INT)
         with pytest.raises(ValueError, match="^main inequality checks run in real flavor$"):
-            check_main_inequality([f, f], exponent(2))
+            check_main_inequality([f, f])
 
 
 class TestTwoPoint:
     @pytest.mark.parametrize("u, v", [((1, 0), (0, 1, 1)), ((1, 0, 0), (0, 1, 1, 1))])
     def test_wrong_length_rejected(self, u, v):
-        with pytest.raises(ValueError, match="^expected 3 values per side$"):
-            check_two_point(u, v, exponent(3))
+        with pytest.raises(ValueError, match=rf"^expected {len(u)} values per side$"):
+            check_two_point(u, v)
 
     def test_indicator_equality(self):
-        check = check_two_point((1, 0, 0), (0, 1, 1), exponent(3))
+        check = check_two_point((1, 0, 0), (0, 1, 1))
         assert check.lhs == pytest.approx(1.0)
         assert check.rhs == pytest.approx(1.0)
         assert check.passed
 
     def test_remark_equality(self):
-        params = exponent(3)
-        w = 0.5 ** (1.0 / params.p)
-        check = check_two_point((w, w, w), (1.0, 1.0, 1.0), params)
+        w = 0.5 ** (1.0 / exponent(3))
+        check = check_two_point((w, w, w), (1.0, 1.0, 1.0))
         assert check.ratio == pytest.approx(1.0, abs=1e-12)
 
     @given(
@@ -154,19 +150,18 @@ class TestTwoPoint:
         vals = st.floats(min_value=-10, max_value=10, allow_nan=False)
         u = data.draw(st.lists(vals, min_size=n, max_size=n))
         v = data.draw(st.lists(vals, min_size=n, max_size=n))
-        assert check_two_point(u, v, exponent(n)).passed
+        assert check_two_point(u, v).passed
 
 
 class TestLemmaMine:
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_equality_configuration(self, n):
-        params = exponent(n)
         x = [1.0 / (n - 1)] * n
-        check = check_lemma_mine(x, params)
+        check = check_lemma_mine(x)
         assert check.ratio == pytest.approx(1.0, abs=1e-12)
 
     def test_all_zero(self):
-        check = check_lemma_mine([0.0] * 4, exponent(4))
+        check = check_lemma_mine([0.0] * 4)
         assert check.lhs == 0.0
         assert check.rhs == 1.0
 
@@ -178,19 +173,19 @@ class TestLemmaMine:
     def test_log_uniform_samples(self, n, data):
         logs = st.floats(min_value=math.log(1e-6), max_value=math.log(1e6))
         x = [math.exp(t) for t in data.draw(st.lists(logs, min_size=n, max_size=n))]
-        assert check_lemma_mine(x, exponent(n)).passed
+        assert check_lemma_mine(x).passed
 
     def test_zero_padding_consistency(self):
         rng = random.Random(13)
         for _ in range(50):
             n = rng.randint(2, 7)
             x = [rng.uniform(0, 5) for _ in range(n)]
-            if check_lemma_mine(x, exponent(n)).passed:
-                assert check_lemma_mine(x + [0.0], exponent(n + 1)).passed
+            if check_lemma_mine(x).passed:
+                assert check_lemma_mine(x + [0.0]).passed
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            check_lemma_mine([1.0, -0.5], exponent(2))
+            check_lemma_mine([1.0, -0.5])
 
 
 class TestPMonotonicity:
@@ -204,7 +199,7 @@ class TestPMonotonicity:
         rng = random.Random(4)
         for n in range(3, 9):
             x = [rng.uniform(0, 3) for _ in range(n)]
-            assert check_p_monotonicity(x, exponent(n).p, exponent(n - 1).p)
+            assert check_p_monotonicity(x, exponent(n), exponent(n - 1))
 
     def test_bad_order_rejected(self):
         with pytest.raises(ValueError):
@@ -219,7 +214,7 @@ class TestEqualityWitness:
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     @pytest.mark.parametrize("m", [1, 3, 6])
     def test_ratio_is_one(self, n, m):
-        check = check_main_inequality(equality_witness(n, m), exponent(n))
+        check = check_main_inequality(equality_witness(n, m))
         assert abs(check.ratio - 1.0) <= 1e-9 * max(1, m)
 
     def test_n2_is_all_ones(self):
@@ -229,7 +224,7 @@ class TestEqualityWitness:
     def test_values_are_w_to_the_set_size(self):
         for n, m in [(3, 7), (5, 4)]:
             f = equality_witness(n, m)[0]
-            w = (1.0 / (n - 1)) ** (1.0 / exponent(n).p)
+            w = (1.0 / (n - 1)) ** (1.0 / exponent(n))
             assert f.values == tuple(w ** s.bit_count() for s in range(1 << m))
 
     @pytest.mark.parametrize("n, m", [(1, 3), (0, 3), (3, 0), (3, 25)])
@@ -332,12 +327,11 @@ class TestTrials:
         from cubeconv.verifier import _draw_functions
 
         fs = _draw_functions(config, np.arange(5))
-        params = exponent(3)
         report = run_trials(config)
         ratios = []
         for t in range(5):
             cube = [CubeFunction(3, fs[j, t].tolist(), REAL) for j in range(3)]
-            ratios.append(check_main_inequality(cube, params).ratio)
+            ratios.append(check_main_inequality(cube).ratio)
         assert report["max_ratio"] == pytest.approx(max(ratios), rel=1e-12)
 
     @pytest.mark.parametrize(
@@ -364,7 +358,7 @@ class TestTrials:
         monkeypatch.undo()
         fs = _draw_functions(config, np.arange(config.trials))
         for t in range(config.trials):
-            check = check_main_inequality([CubeFunction(m, f, REAL) for f in fs[:, t]], exponent(n))
+            check = check_main_inequality([CubeFunction(m, f, REAL) for f in fs[:, t]])
             assert np.float64(check.lhs).tobytes() == lhs[t].tobytes()
             assert np.float64(check.rhs).tobytes() == rhs[t].tobytes()
 
