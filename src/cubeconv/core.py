@@ -68,7 +68,7 @@ class CubeFunction:
         check_m(self.m)
         if self.flavor not in (REAL, INT):
             raise ValueError(f"unknown flavor {self.flavor!r}")
-        table = np.array(self.table, dtype=np.float64) if self.flavor == REAL else _int_table(self.table)
+        table = _table(self.table, self.flavor)
         if table.shape != (1 << self.m,):
             raise ValueError(f"need exactly {1 << self.m} values, got {table.size}")
         table.flags.writeable = False
@@ -88,19 +88,32 @@ class CubeFunction:
         return hash((self.flavor, tuple(table) if table.dtype == object else table.tobytes()))
 
 
-def _int_table(values) -> np.ndarray:
-    """A fresh table, int64 or object past 64 bits; refuses a non-integer (a float, even 2.0)."""
+# By flavor: the numpy kinds taken in one pass, the table dtype, the numbers taken, and the refusal's name.
+_FLAVORS = {REAL: ("biuf", np.float64, numbers.Real, "real"), INT: ("bi", np.int64, numbers.Integral, "integer")}
+
+
+def _table(values, flavor: str) -> np.ndarray:
+    """A fresh table: float64 in real flavor; int64 in integer flavor, or Python ints past 64 bits.
+    Refuses a value that is no real number (a string, None, 1j) or no integer (a float, even 2.0), as
+    the flavor takes, and a real number past float64."""
+    kinds, dtype, number, name = _FLAVORS[flavor]
     table = values if isinstance(values, np.ndarray) else np.array(values)
-    if table.dtype.kind in "bi":  # one pass for an int ndarray or a list of int64s
-        return np.array(table, dtype=np.int64)
-    table = np.array(values, dtype=object)  # as given: numpy reads [2**63, 0] as float64
-    bad = [t for t in set(map(type, table.flat)) if not issubclass(t, numbers.Integral)]
+    if table.dtype.kind in kinds:  # one pass for a numeric ndarray or a list that numpy reads as one
+        return np.array(table, dtype=dtype)
+    table = np.array(values, dtype=object)  # as given: numpy reads [2**63, 0] as float64 and ['1.5'] as text
+    types = set(map(type, table.flat))
+    bad = [t for t in types if not issubclass(t, number)]
     if bad:
-        raise ValueError(f"integer flavor refuses {next(v for v in table.flat if type(v) in bad)!r}")
+        raise ValueError(f"{name} flavor refuses {next(v for v in table.flat if type(v) in bad)!r}")
     try:
-        return table.astype(np.int64)
-    except OverflowError:  # some value needs more than 64 bits
-        return table
+        return table.astype(dtype)
+    except OverflowError:  # past float64, which real flavor refuses, or past int64, kept as an object table
+        if flavor == REAL:  # only an int or a fraction can be past float64, so the largest of them is
+            big = max((v for v in table.flat if isinstance(v, numbers.Rational)), key=abs)
+            raise ValueError(f"real flavor refuses {big!r}") from None
+    if types != {int}:  # Python ints only: numpy would add an np.int64 to a big int in C, and overflow
+        table.flat = [int(v) for v in table.flat]
+    return table
 
 
 @dataclass(frozen=True, eq=False)

@@ -9,7 +9,6 @@ produce identical values.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -242,58 +241,55 @@ def _sides(tables, m: int, p: float) -> tuple[np.ndarray, np.ndarray]:
 
 # The helper pool of each process, by pid.  Its threads live as long as
 # the process, so their allocations reuse one malloc arena; a fresh thread
-# for each chunk would open another.  A fork child inherits the parent's
+# for each run would open another.  A fork child inherits the parent's
 # pool, not its threads, so it makes its own.  (An os.register_at_fork
 # hook would instead keep every imported copy of this module alive.)
 _pools: dict = {}  # pid -> concurrent.futures.ThreadPoolExecutor
 
 
-def _split_sides(config: TrialConfig, p: float, idx: np.ndarray, cpus: int):
-    """_sides of the draws of trials idx in pieces of at least _MIN_PIECE
-    drawn values, at most one a CPU, joined in trial order.  The calling
-    thread and one pooled helper for each further piece claim pieces in
-    turn until none is left, so the caller also computes a piece whose
-    helper has not started it (when the host lends that helper's CPU
-    elsewhere), and waits for a helper only while a piece is unfinished."""
-    pieces = np.array_split(idx, max(1, min(cpus, (len(idx) * config.n << config.m) // _MIN_PIECE)))
-    sides: list = [None] * len(pieces)
-    claims = itertools.count()  # next() is atomic under the GIL
-
-    def work(i: int) -> None:
-        while i < len(pieces):
-            sides[i] = _sides(_draw_functions(config, pieces[i]), config.m, p)
-            i = next(claims)
-
-    first = next(claims)  # claimed before any helper starts, or a new helper could take every piece
-    if len(pieces) > 1 and os.getpid() not in _pools:  # setdefault: first callers at once share one pool
-        from concurrent.futures import ThreadPoolExecutor  # here: it loads logging, 0.6 MB that count never uses
-        _pools.setdefault(os.getpid(), ThreadPoolExecutor(cpus - 1, thread_name_prefix="cubeconv-helper"))
-    helpers = [_pools[os.getpid()].submit(lambda: work(next(claims))) for _ in pieces[1:]]
-    work(first)
-    for helper in helpers:
-        if all(side is not None for side in sides):
-            break
-        helper.result()  # raises the helper's exception
-    return (np.concatenate(side) for side in zip(*sides))
-
-
 def run_trials(config: TrialConfig, chunk: int = 1024) -> dict:
     """Monte-Carlo sweep of the main inequality; returns a report dict
-    with failure count and the largest lhs/rhs ratio observed.  A trial's
-    sides do not depend on its chunk or piece, so the report does not
-    depend on the CPU count."""
+    with failure count and the largest lhs/rhs ratio observed.
+
+    The trials are cut into pieces of chunk // split, split being at most
+    one a CPU, with at least _MIN_PIECE drawn values a piece.  The calling
+    thread claims the first piece, then it and split - 1 pooled helpers
+    claim the rest in turn, so at most `chunk` trials are drawn at once.
+    The caller waits for a helper only while a piece is unfinished, and a
+    piece that raises drains the claims.  A trial's sides do not depend
+    on its piece, so the report does not depend on the CPU count."""
     p = exponent(config.n)
-    chunk = min(chunk, _fit_trials(config))
+    chunk = min(chunk, _fit_trials(config), config.trials)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1  # not on macOS
-    failures = 0
-    max_ratio = float("-inf")
-    for start in range(0, config.trials, chunk):
-        idx = np.arange(start, min(start + chunk, config.trials))
-        lhs, rhs = _split_sides(config, p, idx, cpus)
-        failures += int(np.count_nonzero(~_passes(lhs, rhs)))
-        pos = rhs > 0
-        if np.any(pos):
-            max_ratio = max(max_ratio, float(np.max(lhs[pos] / rhs[pos])))
+    split = max(1, min(cpus, chunk, (chunk * config.n << config.m) // _MIN_PIECE))
+    pieces = range(0, config.trials, chunk // split)
+    claims = iter(pieces)  # next() is atomic under the GIL
+    done: list = []  # (failures, largest ratio) of each finished piece
+
+    def work(start: int | None) -> None:
+        while start is not None:
+            try:
+                idx = np.arange(start, min(start + pieces.step, config.trials))
+                lhs, rhs = _sides(_draw_functions(config, idx), config.m, p)
+            except BaseException:
+                for _ in claims:  # so that no thread claims another piece
+                    pass
+                raise
+            ratios = lhs[rhs > 0] / rhs[rhs > 0]
+            done.append((int(np.count_nonzero(~_passes(lhs, rhs))), float(np.max(ratios, initial=-np.inf))))
+            start = next(claims, None)
+
+    first = next(claims)  # claimed before any helper starts, or a new helper could take every piece
+    if split > 1 and os.getpid() not in _pools:  # setdefault: first callers at once share one pool
+        from concurrent.futures import ThreadPoolExecutor  # here: it loads logging, 0.6 MB that count never uses
+        _pools.setdefault(os.getpid(), ThreadPoolExecutor(cpus - 1, thread_name_prefix="cubeconv-helper"))
+    helpers = [_pools[os.getpid()].submit(lambda: work(next(claims, None))) for _ in range(split - 1)]
+    work(first)
+    for helper in helpers:
+        if len(done) == len(pieces):
+            break
+        helper.result()  # raises the helper's exception
+    failures, max_ratio = sum(f for f, _ in done), max(r for _, r in done)
     return {
         "n": config.n,
         "m": config.m,

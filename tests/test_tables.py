@@ -63,9 +63,41 @@ class TestTable:
         with pytest.raises(ValueError, match=rf"^integer flavor refuses {bad}$"):
             CubeFunction(1, values, INT)
 
+    @pytest.mark.parametrize(
+        "values, bad",
+        [
+            (["1.5", "2"], "'1.5'"),
+            (np.array(["1.5", "2"]), "'1.5'"),
+            ([None, 1.0], "None"),
+            ([2**1100, 0], str(2**1100)),
+            ([1.0, -(2**1100)], str(-(2**1100))),
+            ([1 + 0j, 2], r"\(1\+0j\)"),
+            (np.array([1.0, 2.0], dtype=complex), r"\(1\+0j\)"),
+        ],
+        ids=["text", "text-array", "none", "past-float64", "past-float64-negative", "complex", "complex-array"],
+    )
+    def test_real_flavor_refuses_a_value_that_is_no_real_number(self, values, bad):
+        with pytest.raises(ValueError, match=rf"^real flavor refuses {bad}$"):
+            CubeFunction(1, values, REAL)
+
+    @pytest.mark.parametrize(
+        "values",
+        [[True, False], [3, -1], [0.5, -0.0], [2**70, 1.5], np.array([1, 0], dtype=np.uint64), np.float32([0.5, 2])],
+    )
+    def test_real_flavor_takes_bools_ints_and_floats(self, values):
+        assert CubeFunction(1, values, REAL).values == tuple(float(v) for v in values)
+
     def test_uint64_past_int64_is_kept_exact(self):
         f = CubeFunction(1, np.array([2**63, 1], dtype=np.uint64), INT)
         assert f.table.dtype == object and f.values == (2**63, 1)
+
+    @pytest.mark.parametrize(
+        "values", [[np.int64(3), 2**70], [True, 2**70], np.array([np.uint64(3), 2**70], dtype=object)]
+    )
+    def test_an_object_table_holds_python_ints(self, values):
+        f = CubeFunction(1, values, INT)
+        assert f.table.dtype == object and all(type(v) is int for v in f.values)
+        assert zeta(f) == zeta(CubeFunction(1, [int(v) for v in values], INT))
 
     @pytest.mark.parametrize(
         "values, flavor",

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cubeconv
-from cubeconv import cli, transform, verifier
+from cubeconv import cli, core, transform, verifier
 from cubeconv.core import INT, REAL, CubeFunction, exponent
 from cubeconv.verifier import (
     DISTRIBUTIONS,
@@ -403,8 +403,12 @@ class TestPieces:
     )
     def test_pieces_give_the_serial_report(self, monkeypatch, distribution, signed):
         config = TrialConfig(n=4, m=5, trials=300, seed=21, distribution=distribution, signed=signed)
-        corner, passes, threads, sides = verifier.batch_corner_value, verifier._passes, set(), []
-        helper_in = threading.Event()
+        draw, corner, passes, threads = verifier._draw_functions, verifier.batch_corner_value, verifier._passes, set()
+        helper_in, piece, sides = threading.Event(), threading.local(), {}
+
+        def draw_spy(config, idx):
+            piece.idx = idx
+            return draw(config, idx)
 
         def corner_spy(fs, m):
             threads.add(threading.current_thread())
@@ -414,10 +418,13 @@ class TestPieces:
                 helper_in.wait(30)  # so that a helper claims a piece
             return corner(fs, m)
 
-        def passes_spy(lhs, rhs):
-            sides.append((lhs.tobytes(), rhs.tobytes()))
+        def passes_spy(lhs, rhs):  # each trial's lhs and rhs, by the index its piece drew
+            for t, one_lhs, one_rhs in zip(piece.idx.tolist(), lhs, rhs, strict=True):
+                assert t not in sides
+                sides[t] = (one_lhs.tobytes(), one_rhs.tobytes())
             return passes(lhs, rhs)
 
+        monkeypatch.setattr(verifier, "_draw_functions", draw_spy)
         monkeypatch.setattr(verifier, "batch_corner_value", corner_spy)
         monkeypatch.setattr(verifier, "_passes", passes_spy)
         caller, serial_run = threading.current_thread(), True
@@ -425,9 +432,9 @@ class TestPieces:
         serial = run_trials(config, chunk=128)
         assert threads == {caller}
         force_pieces(monkeypatch, 3)
-        serial_sides, sides[:], serial_run = sides[:], [], False
+        serial_sides, sides, serial_run = sides, {}, False
         assert run_trials(config, chunk=128) == serial
-        assert sides == serial_sides  # every chunk's lhs and rhs, joined in trial order
+        assert sorted(serial_sides) == list(range(config.trials)) and sides == serial_sides
         assert caller in threads and len(threads) >= 2
 
     def test_the_caller_takes_every_piece_no_helper_has_claimed(self, monkeypatch):
@@ -448,6 +455,39 @@ class TestPieces:
         monkeypatch.setitem(verifier._pools, os.getpid(), IdlePool())
         force_pieces(monkeypatch, 3)
         assert run_trials(config, chunk=128) == serial
+
+    def test_one_trial_chunks_give_the_serial_report(self, monkeypatch):
+        """A chunk of one trial is one piece, however many CPUs there are."""
+        config = TrialConfig(n=3, m=10, trials=3, seed=6)
+        force_pieces(monkeypatch, 1)
+        serial = run_trials(config)
+        monkeypatch.setattr(core, "RANK_TABLE_BUDGET", (config.m + 1) * 8 << config.m)
+        assert verifier._fit_trials(config) == 1
+        force_pieces(monkeypatch, 2)
+        assert run_trials(config) == serial
+
+    def test_a_failing_piece_stops_the_claims(self, monkeypatch):
+        """The caller's piece raises while a helper would take the other
+        19; the helper finishes the piece it holds and claims no other."""
+        sides, entries, release = verifier._sides, [], threading.Event()
+        caller = threading.current_thread()
+
+        def fail_on_the_caller(tables, m, p):
+            entries.append(threading.current_thread())
+            if threading.current_thread() is caller:
+                raise ValueError("the caller's piece failed")
+            assert release.wait(30)  # until the caller has raised
+            return sides(tables, m, p)
+
+        pool = ThreadPoolExecutor(1)
+        monkeypatch.setitem(verifier._pools, os.getpid(), pool)
+        monkeypatch.setattr(verifier, "_sides", fail_on_the_caller)
+        force_pieces(monkeypatch, 2)
+        with pytest.raises(ValueError, match="^the caller's piece failed$"):
+            run_trials(TrialConfig(n=3, m=4, trials=40, seed=3), chunk=4)
+        release.set()
+        pool.shutdown(wait=True)
+        assert caller in entries and len(entries) <= 2
 
     def test_a_failing_helper_piece_reaches_the_caller(self, monkeypatch):
         caller, corner = threading.current_thread(), verifier.batch_corner_value
