@@ -70,7 +70,7 @@ class CubeFunction:
             raise ValueError(f"unknown flavor {self.flavor!r}")
         table = _table(self.table, self.flavor)
         if table.shape != (1 << self.m,):
-            raise ValueError(f"need exactly {1 << self.m} values, got {table.size}")
+            raise ValueError(f"need exactly {1 << self.m} values, got shape {table.shape}")
         table.flags.writeable = False
         object.__setattr__(self, "table", table)
 

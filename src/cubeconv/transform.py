@@ -189,29 +189,39 @@ def _ranks(masks: np.ndarray, m: int) -> list[int]:
     return [r for r in range(m + 1) if (ranks == r).any()]
 
 
-def _batch_ranked_zeta(a: np.ndarray, m: int, mod=None, ranks=None):
+def _zeroed(out, shape: tuple, dtype) -> np.ndarray:
+    """A zero array of `shape`: the start of the flat array `out`, or a fresh one if out is None."""
+    if out is None:
+        return np.zeros(shape, dtype=dtype)
+    table = out[: math.prod(shape)].reshape(shape)
+    table.fill(0)
+    return table
+
+
+def _batch_ranked_zeta(a: np.ndarray, m: int, mod=None, ranks=None, out=None):
     """(..., 2^m) -> (ranks, table): `ranks` (default the rank support of
     `a`) and the per-rank zeta tables of those ranks, mask-major with
-    shape (len(ranks), 2^m, ...).  A 1-D `a` gives (len(ranks), 2^m)."""
+    shape (len(ranks), 2^m, ...), built at the start of the flat array
+    `out` (default a fresh one).  A 1-D `a` gives (len(ranks), 2^m)."""
     ranks = _rank_support(a, m) if ranks is None else ranks
     rows, masks = _rank_slots(ranks, m)
-    out = np.zeros((len(ranks), 1 << m) + a.shape[:-1], dtype=a.dtype)
-    out[rows, masks] = np.moveaxis(a, -1, 0)[masks]  # the gather transposes
-    _batch_zeta_inplace(out, m, ranks=ranks)  # at most 2^m * mod < 2^53 before reducing
+    table = _zeroed(out, (len(ranks), 1 << m) + a.shape[:-1], a.dtype)
+    table[rows, masks] = np.moveaxis(a, -1, 0)[masks]  # the gather transposes
+    _batch_zeta_inplace(table, m, ranks=ranks)  # at most 2^m * mod < 2^53 before reducing
     if mod:
-        out %= mod
-    return ranks, out
+        table %= mod
+    return ranks, table
 
 
-def _member_zeta(members: np.ndarray, m: int, mod, ranks: list[int]):
+def _member_zeta(members: np.ndarray, m: int, mod, ranks: list[int], out=None):
     """_batch_ranked_zeta of the indicator of `members` (distinct int64
     masks), scattered from the members with no 2^m indicator.  Its values
     are at most 2^m < mod, so `mod` does not reduce them."""
     rows, masks = _rank_slots(ranks, m, members)
-    out = np.zeros((len(ranks), 1 << m), dtype=np.int64)
-    out[rows, masks] = 1
-    _batch_zeta_inplace(out, m, ranks=ranks)
-    return ranks, out
+    table = _zeroed(out, (len(ranks), 1 << m), np.int64)
+    table[rows, masks] = 1
+    _batch_zeta_inplace(table, m, ranks=ranks)
+    return ranks, table
 
 
 def _sumset(a, b, keep) -> list[int]:
@@ -219,22 +229,25 @@ def _sumset(a, b, keep) -> list[int]:
     return sorted({i + j for i in a for j in b}.intersection(keep))
 
 
-def _batch_rank_mult(a, b, m: int, mod=None, keep=None):
+def _batch_rank_mult(a, b, m: int, mod=None, keep=None, out=None):
     """Product of two (ranks, table[, floors]) rank polynomials; returns
     (ranks, table, floors).  Builds the ranks k in the sumset of the
     supports that are in `keep` (default 0 .. m); row k sums a_i *
     b_(k-i) over the live pairs in ascending i, from 0.  A row is zero on
     masks with fewer elements than its floor: r for a zeta row of rank r
     (the default), else the least over its terms of their factors' larger.
+    The table is built at the start of the flat array `out` (default a
+    fresh one), which may hold a's table: the product then overwrites it.
 
-    Blocks of 2^c masks (about _BLOCK positions with their trials) are
-    built one at a time, so the operands stay in cache.  Block g holds the
-    masks with high part g, and a term needs only those from low part
-    2^(floor - |g|) - 1 on.  A skipped term is +-0 times a finite value,
-    and a sum from +0.0 never turns -0.0, so results are bit-identical.
-    Under `mod` each term is added and its row reduced in place: the row
-    is below mod <= 2^31 - 1 and the term below mod^2 < 2^62, so the sum
-    does not wrap, and a k-term row takes k remainders."""
+    Blocks of 2^c masks (about _BLOCK positions with their trials, at most
+    half the masks) are built one at a time in a scratch array, so the
+    operands stay in cache, and written to `out` after their last read.
+    Block g holds the masks with high part g, and a term needs only those
+    from low part 2^(floor - |g|) - 1 on.  A skipped term is +-0 times a
+    finite value, and a sum from +0.0 never turns -0.0, so results are
+    bit-identical.  Under `mod` each term is added and its row reduced in
+    place: the row is below mod <= 2^31 - 1 and the term below mod^2 <
+    2^62, so the sum does not wrap, and a k-term row takes k remainders."""
     (ranks_a, table_a, *floors_a), (ranks_b, table_b, *floors_b) = a, b
     floors_a, floors_b = (floors_a or [ranks_a])[0], (floors_b or [ranks_b])[0]
     slot_b = {r: j for j, r in enumerate(ranks_b)}
@@ -242,23 +255,30 @@ def _batch_rank_mult(a, b, m: int, mod=None, keep=None):
     pairs = [[(ia, slot_b[k - i]) for ia, i in enumerate(ranks_a) if k - i in slot_b] for k in ranks]
     floors = [[max(floors_a[ia], floors_b[ib]) for ia, ib in terms] for terms in pairs]
     trials = math.prod(table_a.shape[2:])
-    out = np.zeros((len(ranks),) + table_a.shape[1:], dtype=table_a.dtype)
-    c = min(m, (_BLOCK // max(trials, 1) or 1).bit_length() - 1)
+    c = min(m - 1, (_BLOCK // max(trials, 1) or 1).bit_length() - 1)
+    size = trials << c
     # (rows, positions) views, sized explicitly: a table may have no rows
-    flat_a, flat_b, flat_out = (t.reshape(len(t), trials << m) for t in (table_a, table_b, out))
-    term = np.empty(trials << c, dtype=out.dtype)
+    flat_a, flat_b = (t.reshape(len(t), trials << m) for t in (table_a, table_b))
+    entries = len(ranks) * trials << m
+    table = (np.empty(entries, dtype=table_a.dtype) if out is None else out)[:entries]
+    table = table.reshape((len(ranks),) + table_a.shape[1:])
+    flat_out = table.reshape(len(ranks), trials << m)
+    block = np.empty((len(ranks) + 1, size), dtype=table.dtype)  # the block's rows, and a term
+    term = block[-1]
     for g in range(1 << (m - c)):
-        start, end, base = (trials << c) * g, (trials << c) * (g + 1), g.bit_count()
-        for row, terms, row_floors in zip(flat_out, pairs, floors):
+        start, base = size * g, g.bit_count()
+        block[:-1] = 0
+        for acc_row, terms, row_floors in zip(block, pairs, floors):
             for (ia, ib), floor in zip(terms, row_floors):
-                lo = start + trials * ((1 << (floor - base)) - 1) if floor > base else start
-                if lo < end:
-                    t, acc = term[lo - start :], row[lo:end]  # names, so += stays in place
-                    np.multiply(flat_a[ia, lo:end], flat_b[ib, lo:end], out=t)
+                lo = trials * ((1 << (floor - base)) - 1) if floor > base else 0
+                if lo < size:
+                    t, acc, span = term[lo:], acc_row[lo:], slice(start + lo, start + size)  # names: += in place
+                    np.multiply(flat_a[ia, span], flat_b[ib, span], out=t)
                     acc += t
                     if mod:
                         acc %= mod
-    return ranks, out, [min(row_floors) for row_floors in floors]
+        flat_out[:, start : start + size] = block[:-1]
+    return ranks, table, [min(row_floors) for row_floors in floors]
 
 
 def _fold_plan(supports: list[list[int]], need, m: int):
@@ -275,9 +295,12 @@ def _fold_plan(supports: list[list[int]], need, m: int):
         keep = _sumset(need, [-r for r in rest], range(m + 1))  # the ranks that rest brings into need
         tables.append(_sumset(keep, [-r for r in products[-1]], s))
         products.append(_sumset(products[-1], tables[-1], keep))
-    # a product, a table, and the next product or 3 scratch rows; the readout adds 4 (README)
-    steps = [len(p) + len(t) + max(len(q), 3) for p, t, q in zip(products[1:], tables[1:], products[2:])]
-    return tables, products[2:], max([len(products[-1]) + 4, *steps])
+    # the table array (every table but the first), the product array (the first table, products[1], and every
+    # product), and a product's block scratch (rows and a term, at batch 1) or 3 rows to tabulate or read (README)
+    block = min(1 << (m - 1), _BLOCK)
+    scratch = max([((len(p) + 1) * block - 1 >> m) + 1 for p in products[2:]], default=0)
+    peak = max(map(len, tables[1:]), default=0) + max(map(len, products[1:])) + max(3, scratch)
+    return tables, products[2:], peak
 
 
 def _fit_fold(peak: int, m: int, batch: int = 1) -> int:
@@ -289,36 +312,69 @@ def _fit_fold(peak: int, m: int, batch: int = 1) -> int:
     return budget // row
 
 
-def _fold(factors, supports: list[list[int]], need, m: int, mod, tabulate):
+# A FoldSpace keeps its arrays while they total at most this: a piece of verify's criterion-3 grid
+# (n <= 5, m <= 8, 512 trials a piece on two CPUs) needs at most 18 MiB.
+KEEP_BYTES = 32 << 20
+
+
+class FoldSpace:
+    """One thread's fold arrays, kept in one buffer from fold to fold while
+    they total at most KEEP_BYTES, so a fold reuses pages already mapped."""
+
+    def __init__(self):
+        self.kept = np.empty(0, dtype=np.uint8)
+
+    def arrays(self, sizes: list[int], dtype) -> list[np.ndarray]:
+        """The table and product arrays, flat, of `sizes` values of `dtype`:
+        views of the kept buffer, grown as needed, or fresh ones, kept by no
+        one, over KEEP_BYTES."""
+        nbytes = sum(sizes) * dtype.itemsize
+        if nbytes > KEEP_BYTES:
+            return [np.empty(size, dtype=dtype) for size in sizes]
+        if self.kept.size < nbytes:
+            self.kept = np.empty(nbytes, dtype=np.uint8)
+        flat = self.kept[:nbytes].view(dtype)
+        return [flat[: sizes[0]], flat[sizes[0] :]]
+
+
+def _fold(factors, supports: list[list[int]], need, m: int, mod, tabulate, space=None):
     """(ranks, table): the subset convolution f_1 * ... * f_k (k >= 2) at
     the ranks in `need` that it can reach, one row a rank, each row read
-    only at masks of its rank.  Once _fit_fold admits its plan: a zeta
-    table per run of one object by tabulate(factor, m, mod, ranks),
-    products, and a trimmed Moebius transform of the last."""
+    only at masks of its rank.  Once _fit_fold admits its plan, it runs in
+    two arrays, lent by `space` (a FoldSpace) or its own: a zeta table per
+    run of one object, by tabulate(factor, m, mod, ranks, out), in the
+    table array, or, for a first factor that the next does not repeat, in
+    the product array, where each product overwrites the last; then a
+    trimmed Moebius transform of the last product.  A repeated first
+    factor has the next one's support, so as many table ranks."""
     tables, products, peak = _fold_plan(supports, need, m)
-    _fit_fold(peak, m, math.prod(np.shape(factors[0])[:-1]))
+    batch = math.prod(np.shape(factors[0])[:-1])
+    _fit_fold(peak, m, batch)
+    sizes = [max(map(len, rows)) * batch << m for rows in (tables[1:], tables[:1] + products)]
+    spare, held = space.arrays(sizes, factors[0].dtype) if space else [np.empty(s, factors[0].dtype) for s in sizes]
     prod = prev = None
     for a, ranks, built in zip(factors, tables, [None] + products):
         if a is not prev:
-            table = None  # freed before the next is built
-            table, prev = tabulate(a, m, mod, ranks), a
-        prod = table if built is None else _batch_rank_mult(prod, table, m, mod, built)
-    del table
+            first = built is None and factors[1] is not a
+            table, prev = tabulate(a, m, mod, ranks, held if first else spare), a
+        prod = table if built is None else _batch_rank_mult(prod, table, m, mod, built, held)
     ranks, table, floors = prod
     _batch_zeta_inplace(table, m, inverse=True, ranks=ranks, floors=floors)
     return ranks, table
 
 
-def _convolve(arrays, m: int, mod, need) -> np.ndarray:
+def _convolve(arrays, m: int, mod, need, space=None) -> np.ndarray:
     """h (2^m, ...): the subset convolution of two or more (..., 2^m) arrays
     at the masks whose rank is in `need`, 0 elsewhere."""
     supports = []
     for j, a in enumerate(arrays):
         supports.append(supports[-1] if j and a is arrays[j - 1] else _rank_support(a, m))
-    ranks, table = _fold(arrays, supports, need, m, mod, _batch_ranked_zeta)
+    ranks, table = _fold(arrays, supports, need, m, mod, _batch_ranked_zeta, space)
     rows, masks = _rank_slots(ranks, m)
+    values = table[rows, masks]
+    del rows  # so the readout holds 3 rows: the masks, their values and h
     h = np.zeros(table.shape[1:], dtype=table.dtype)
-    h[masks] = table[rows, masks]
+    h[masks] = values
     return np.remainder(h, mod, out=h) if mod else h
 
 
@@ -338,7 +394,7 @@ def _member_sum(members: np.ndarray, m: int, k: int, mod) -> np.ndarray:
     return values.sum() % mod if mod else values.sum()
 
 
-def batch_corner_value(fs, m: int, mod=None) -> np.ndarray:
+def batch_corner_value(fs, m: int, mod=None, space=None) -> np.ndarray:
     """Corner convolution of a batch of function tuples.
 
     fs has shape (n, ..., 2^m), or is a list of n such arrays; returns
@@ -352,7 +408,7 @@ def batch_corner_value(fs, m: int, mod=None) -> np.ndarray:
     be), and a zero corner reads +0.0 whatever the zero signs of its
     terms, so a trial's value is the same bit for bit in any batch or
     chunk.  Under `mod`, h and the terms are reduced, so the sums stay
-    below 2^m * mod.
+    below 2^m * mod.  `space`, a FoldSpace, lends the fold its arrays.
     """
     n = len(fs)
     if n == 1:
@@ -361,7 +417,7 @@ def batch_corner_value(fs, m: int, mod=None) -> np.ndarray:
     if n == 2:
         h = np.multiply(np.moveaxis(fs[0], -1, 0), last, out=np.empty(last.shape, dtype=last.dtype))
     else:
-        h = _convolve(list(fs[:-1]), m, mod, _rank_support(fs[-1][..., ::-1], m))
+        h = _convolve(list(fs[:-1]), m, mod, _rank_support(fs[-1][..., ::-1], m), space)
         h *= last
     if mod:
         h %= mod

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import REAL, CubeFunction, check_m, exponent, fit_budget, lp_norms, popcounts
-from .transform import _fit_fold, _fold_plan, batch_corner_value
+from .transform import FoldSpace, _fit_fold, _fold_plan, batch_corner_value
 
 # Both sides of a check can be ~0, so pass/fail combines a relative and
 # an absolute floor.
@@ -215,25 +216,31 @@ def _fit_trials(config: TrialConfig) -> int:
     return min(_fit_fold(_fold_plan([full] * (n - 1), full, m)[2], m), fit_budget(what, planes * n * 8 << m))
 
 
-def _sides(tables, m: int, p: float) -> tuple[np.ndarray, np.ndarray]:
+def _norms(tables, p: float) -> np.ndarray:
+    """The product of the p-norms of the tables (as _sides takes them), in
+    f_1 .. f_n order; refuses one that overflows float64."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        # one call a function; a lone table gets an outer axis of 1, so it sums to the bits a trial in a batch gets
+        rhs = np.prod([lp_norms(np.atleast_2d(t), p) for t in tables], axis=0)
+    if not np.all(np.isfinite(rhs)):
+        raise ValueError("product of the norms overflows float64")
+    return rhs
+
+
+def _sides(tables, m: int, p: float, space=None) -> tuple[np.ndarray, np.ndarray]:
     """lhs and rhs of every check: the corner of the function tables over
     2^m masks, and the product of their p-norms.  `tables` is n arrays of
-    shape (..., 2^m), or one (n, ..., 2^m) array; neither is written.
+    shape (..., 2^m), or one (n, ..., 2^m) array; neither is written.  The
+    corner's fold takes its arrays from `space`, a FoldSpace, if given.
     Refuses what the JSON report cannot say, in this order: a norm
     product that overflows float64, then a corner that underflows or
     overflows it.  So a run whose norms overflow computes no corner."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        # one call a function; a lone table gets an outer axis of 1, so it
-        # sums to the bits a trial in a batch gets.  The product runs in
-        # f_1 .. f_n order.
-        rhs = np.prod([lp_norms(np.atleast_2d(t), p) for t in tables], axis=0)
-        if not np.all(np.isfinite(rhs)):
-            raise ValueError("product of the norms overflows float64")
-        try:  # a corner that underflows would read 0, pass on ABS_TOL and measure no ratio
-            with np.errstate(under="raise"):  # the corner alone
-                lhs = batch_corner_value(tables, m)
-        except FloatingPointError:
-            raise ValueError("corner convolution underflows float64") from None
+    rhs = _norms(tables, p)
+    try:  # a corner that underflows would read 0, pass on ABS_TOL and measure no ratio
+        with np.errstate(over="ignore", invalid="ignore", under="raise"):  # under: the corner alone
+            lhs = batch_corner_value(tables, m, space=space)
+    except FloatingPointError:
+        raise ValueError("corner convolution underflows float64") from None
     if not np.all(np.isfinite(lhs)):
         raise ValueError("corner convolution overflows float64")
     return lhs, rhs
@@ -245,6 +252,7 @@ def _sides(tables, m: int, p: float) -> tuple[np.ndarray, np.ndarray]:
 # pool, not its threads, so it makes its own.  (An os.register_at_fork
 # hook would instead keep every imported copy of this module alive.)
 _pools: dict = {}  # pid -> concurrent.futures.ThreadPoolExecutor
+_spaces = threading.local()  # each thread's FoldSpace, kept between its pieces and between runs
 
 
 def run_trials(config: TrialConfig, chunk: int = 1024) -> dict:
@@ -257,9 +265,14 @@ def run_trials(config: TrialConfig, chunk: int = 1024) -> dict:
     claim the rest in turn, so at most `chunk` trials are drawn at once.
     The caller waits for a helper only while a piece is unfinished, and a
     piece that raises drains the claims.  A trial's sides do not depend
-    on its piece, so the report does not depend on the CPU count."""
+    on its piece, so the report does not depend on the CPU count.  Each
+    thread folds in its own FoldSpace.  Where the norm product can
+    overflow, trial 0's is checked before any piece is drawn, so a run
+    whose norms overflow refuses after one trial's draw."""
     p = exponent(config.n)
     chunk = min(chunk, _fit_trials(config), config.trials)
+    if config.n * (6 + config.m / p) > 1000:  # |draws| < 53 ln 2 < 2^6, so a norm is below 2^(6 + m/p)
+        _norms(_draw_functions(config, np.arange(1)), p)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1  # not on macOS
     split = max(1, min(cpus, chunk, (chunk * config.n << config.m) // _MIN_PIECE))
     pieces = range(0, config.trials, chunk // split)
@@ -267,10 +280,11 @@ def run_trials(config: TrialConfig, chunk: int = 1024) -> dict:
     done: list = []  # (failures, largest ratio) of each finished piece
 
     def work(start: int | None) -> None:
+        space = vars(_spaces).setdefault("space", FoldSpace())
         while start is not None:
             try:
                 idx = np.arange(start, min(start + pieces.step, config.trials))
-                lhs, rhs = _sides(_draw_functions(config, idx), config.m, p)
+                lhs, rhs = _sides(_draw_functions(config, idx), config.m, p, space)
             except BaseException:
                 for _ in claims:  # so that no thread claims another piece
                     pass

@@ -50,22 +50,24 @@ def spy(monkeypatch):
 def test_plans_of_the_layered_counts_at_m24(n, t, tables, products):
     """The layered family of n, t: every factor on ranks {t, (n-1)t}, and
     f_n(S^c) needs the same ranks of h.  Every table and product is one
-    row, so the peak is the readout's 5: the last product, the output row
-    and 3 scratch rows (a product step, 1 + 1 + 3, ties it); 671 MB at
+    row, so the peak is 5: the table array's row, the product array's row
+    and 3 scratch rows (a product's block scratch is 1 row); 671 MB at
     m=24, against 335 MB (n=3) and 430 MB measured."""
     layers = [t, (n - 1) * t]
     assert _fold_plan([layers] * (n - 1), layers, 24) == (tables, products, 5)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
-def test_the_full_support_corner_peaks_at_three_tables(n):
-    """verify's fold: n-1 distinct factors on every rank.  Its 3(m+1) rows
-    fit one trial at m=23 and not two; at m=24 (75 rows) not one."""
+def test_the_full_support_corner_peaks_at_two_tables(n):
+    """verify's fold: n-1 distinct factors on every rank.  Its table array
+    and its product array of m+1 rows each, and 3 scratch rows (a block
+    scratch is 1 row at m >= 19), fit one trial at m=23 and not two; at
+    m=24 (53 rows) not one."""
     full = {m: range(m + 1) for m in (23, 24)}
     peaks = [_fold_plan([list(full[m]) for _ in range(n - 1)], full[m], m)[2] for m in (23, 24)]
-    assert peaks == [72, 75]
-    assert _fit_fold(72, 23) == 1
-    for peak, m, batch in [(72, 23, 2), (75, 24, 1)]:
+    assert peaks == [51, 53]
+    assert _fit_fold(51, 23) == 1
+    for peak, m, batch in [(51, 23, 2), (53, 24, 1)]:
         with pytest.raises(ValueError, match=f"^a fold plan of {peak} rank rows x 2\\^{m} masks x {batch} needs"):
             _fit_fold(peak, m, batch)
 
@@ -83,8 +85,9 @@ def plan_admits(peak: int, m: int, batch: int = 1) -> bool:
 def test_nothing_that_ran_before_the_plan_budget_is_refused():
     """verify at its former chunk (a table of m+1 ranks, and the draws, each
     within one budget), every layered count, and every full-support
-    subset_convolve that fit the per-table rule fit the plan's budget; and
-    for n >= 3 verify's chunk is the same.  n=2 sizes its chunk from a
+    subset_convolve that fit the per-table rule fit the plan's budget.
+    For n >= 3 verify's chunk grows by at most half: the plan holds two
+    tables where the rule had three in mind.  n=2 sizes its chunk from a
     one-factor plan, so it runs at m=24, and no chunk grows past three
     former ones (at m=23 the draw budget alone would fit 12 trials)."""
     budget = core.RANK_TABLE_BUDGET
@@ -93,7 +96,7 @@ def test_nothing_that_ran_before_the_plan_budget_is_refused():
         assert chunk >= 1
         config = verifier.TrialConfig(n, m, 1, 0, "sparse" if planes == 2 else "uniform")
         fit = min(1024, verifier._fit_trials(config))
-        assert fit == chunk if n > 2 else chunk <= fit <= 3 * chunk
+        assert chunk <= fit <= (3 * chunk // 2 if n > 2 else 3 * chunk)
         if n > 2:
             full = range(m + 1)
             tables, products, peak = _fold_plan([list(full) for _ in range(n - 1)], full, m)

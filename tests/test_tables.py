@@ -141,8 +141,13 @@ class TestTable:
         assert f == f and hash(f) == hash(f)
 
     def test_nested_input_rejected(self):
-        with pytest.raises(ValueError, match="need exactly 2 values, got 4"):
+        with pytest.raises(ValueError, match=r"^need exactly 2 values, got shape \(2, 2\)$"):
             CubeFunction(1, [[1, 2], [3, 4]], INT)
+
+    @pytest.mark.parametrize("flavor", [REAL, INT])
+    def test_a_nested_table_of_the_right_size_names_its_shape(self, flavor):
+        with pytest.raises(ValueError, match=r"^need exactly 2 values, got shape \(1, 2\)$"):
+            CubeFunction(1, [[1, 2]], flavor)
 
 
 class TestFamilyTables:

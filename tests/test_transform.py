@@ -691,6 +691,40 @@ class TestKernelBoundaries:
             want = rank_mult_reference(got, tc, m, mod, keep)
             assert chained[0] == want[0] and chained[1].tobytes() == want[1].tobytes()
 
+    @pytest.mark.parametrize("m,batch", BLOCK_CASES, ids=BLOCK_CASE_IDS)
+    @pytest.mark.parametrize("kind", ["float", "int", "mod"])
+    def test_a_product_over_its_left_factor_equals_a_fresh_one(self, m, batch, kind):
+        """A product built in place over its left factor's table, as _fold
+        builds it, equals one built in a fresh array: float bit for bit,
+        integers exactly.  keep gives products of more, as many and fewer
+        rows than the factor; stale values past the factor's rows must not
+        reach it."""
+        rng = np.random.default_rng([m, len(batch), len(kind), 5])
+        dtype = np.float64 if kind == "float" else np.int64
+        mod = MERSENNE if kind == "mod" else None
+        rank = np.array([s.bit_count() for s in range(1 << m)])
+
+        def table():
+            shape = batch + (1 << m,)
+            low, high = (0, mod) if mod else (-(2**20), 2**20)
+            a = rng.standard_normal(shape) if kind == "float" else rng.integers(low, high, shape)
+            a[..., ~np.isin(rank, rng.choice(m + 1, size=rng.integers(1, m + 2), replace=False))] = 0
+            return _batch_ranked_zeta(a.astype(dtype), m, mod)
+
+        for keep in (None, [m], range(m // 2, m + 1), range(0, m + 1, 2)):
+            ta, tb, tc = table(), table(), table()
+            fresh = _batch_rank_mult(ta, tb, m, mod, keep)
+            chained = _batch_rank_mult(fresh, tc, m, mod, keep)
+            rows = max(len(ta[0]), len(fresh[0]), len(chained[0]))
+            space = np.full(rows * ta[1][0].size, np.nan if kind == "float" else -1, dtype=dtype)  # stale values
+            left = space[: ta[1].size].reshape(ta[1].shape)
+            left[...] = ta[1]
+            got = _batch_rank_mult((ta[0], left), tb, m, mod, keep, space)
+            assert got[0] == fresh[0] and got[2] == fresh[2] and got[1].tobytes() == fresh[1].tobytes()
+            assert not got[1].size or np.shares_memory(got[1], left)
+            got = _batch_rank_mult(got, tc, m, mod, keep, space)
+            assert got[0] == chained[0] and got[2] == chained[2] and got[1].tobytes() == chained[1].tobytes()
+
     @pytest.mark.parametrize("batch", [(), (5,)])
     def test_a_product_that_reaches_no_rank(self, batch):
         m = 5
@@ -823,8 +857,10 @@ class TestRankTableBudget:
     def test_subset_convolve(self, monkeypatch, flavor):
         m, rng = 10, random.Random(3)
         f, g = (CubeFunction(m, [rng.randint(1, 9) for _ in range(1 << m)], flavor) for _ in range(2))
-        table = (m + 1) * 8 << m  # every rank is live; the plan's peak is three tables
-        assert self.refused_peak(monkeypatch, table - 1, lambda: subset_convolve(f, g)) < table
+        table = (m + 1) * 8 << m  # every rank is live
+        peak = 28 * 8 << m  # two tables, and a block scratch of 12 half rows
+        assert transform._fold_plan([list(range(m + 1))] * 2, range(m + 1), m)[2] == 28
+        assert self.refused_peak(monkeypatch, peak // 3 - 1, lambda: subset_convolve(f, g)) < table
 
     def test_a_refused_fold_allocates_nothing(self, monkeypatch):
         """Zeta tables of ranks 0..6 and a product of ranks 0..12: the plan's
@@ -840,13 +876,14 @@ class TestRankTableBudget:
         m = 12
         family = SetFamily.from_masks(m, range(1 << m))
         row = 8 << m
-        peak = 39 * row  # n=3: the 13-row table, counted for both factors, and the 13-row product
+        peak = 33 * row  # n=3: the 13-row table, the 13-row product and a block scratch of 14 half rows
         assert self.refused_peak(monkeypatch, peak // 3 - 1, lambda: count_disjoint_tuples(family, 3)) < row
 
     def test_run_trials_refuses_before_drawing(self, monkeypatch):
         config = TrialConfig(n=3, m=10, trials=4, seed=5)
-        table = (config.m + 1) * 8 << config.m  # one trial
-        assert self.refused_peak(monkeypatch, table - 1, lambda: run_trials(config)) < table
+        table = (config.m + 1) * 8 << config.m
+        peak = 28 * 8 << config.m  # one trial's fold, as in test_subset_convolve
+        assert self.refused_peak(monkeypatch, peak // 3 - 1, lambda: run_trials(config)) < table
 
     def test_run_trials_chunks_to_the_budget(self, monkeypatch):
         # at n=3 a trial's rank table (7 x 2^6 x 8 B) outweighs its draw (2 x 3 x 2^6 x 8 B)
@@ -854,9 +891,9 @@ class TestRankTableBudget:
         whole = run_trials(config)
         batches = []
 
-        def spy(fs, m):
+        def spy(fs, m, space=None):
             batches.append(fs.shape[1])
-            return batch_corner_value(fs, m)
+            return batch_corner_value(fs, m, space=space)
 
         monkeypatch.setattr(verifier, "batch_corner_value", spy)
         monkeypatch.setattr(core, "RANK_TABLE_BUDGET", 3 * (config.m + 1) * 8 << config.m)
@@ -868,9 +905,9 @@ class TestRankTableBudget:
         whole = run_trials(config)
         batches = []
 
-        def spy(fs, m):
+        def spy(fs, m, space=None):
             batches.append(fs.shape[1])
-            return batch_corner_value(fs, m)
+            return batch_corner_value(fs, m, space=space)
 
         monkeypatch.setattr(verifier, "batch_corner_value", spy)
         draw = 2 * config.n * 8 << config.m  # the value plane and one transient plane
@@ -913,8 +950,8 @@ class TestRankTableBudget:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(["verify", "--witness", "--n", "5", "--m", "16"])
         assert (code, out.getvalue()) == (2, "")
-        need = 51 * 8 << 16  # one shared 17-row table, the last product and the next
+        need = 39 * 8 << 16  # one shared 17-row table, the 17-row product and a block scratch of 5 rows
         assert err.getvalue() == (
-            f"error: a fold plan of 51 rank rows x 2^16 masks x 1 needs {need} bytes, "
+            f"error: a fold plan of 39 rank rows x 2^16 masks x 1 needs {need} bytes, "
             f"over the rank-table budget of {3 * 2**20} bytes\n"
         )

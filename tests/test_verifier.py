@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -104,7 +105,7 @@ class TestMainInequality:
         path = tmp_path / "wide.txt"
         path.write_text("m=1 count=5\n" + "0.0 1e190\n" * 5)  # each norm is finite, their product is not
         corners = []
-        monkeypatch.setattr(verifier, "batch_corner_value", lambda fs, m: corners.append(m))
+        monkeypatch.setattr(verifier, "batch_corner_value", lambda fs, m, space=None: corners.append(m))
         refused = (2, "", "error: product of the norms overflows float64\n")
         assert cli_run(["verify", "--functions", str(path)]) == refused
         assert corners == []
@@ -410,13 +411,13 @@ class TestPieces:
             piece.idx = idx
             return draw(config, idx)
 
-        def corner_spy(fs, m):
+        def corner_spy(fs, m, space=None):
             threads.add(threading.current_thread())
             if threading.current_thread() is not caller:
                 helper_in.set()
             elif not serial_run:
                 helper_in.wait(30)  # so that a helper claims a piece
-            return corner(fs, m)
+            return corner(fs, m, space=space)
 
         def passes_spy(lhs, rhs):  # each trial's lhs and rhs, by the index its piece drew
             for t, one_lhs, one_rhs in zip(piece.idx.tolist(), lhs, rhs, strict=True):
@@ -472,12 +473,12 @@ class TestPieces:
         sides, entries, release = verifier._sides, [], threading.Event()
         caller = threading.current_thread()
 
-        def fail_on_the_caller(tables, m, p):
+        def fail_on_the_caller(tables, m, p, space=None):
             entries.append(threading.current_thread())
             if threading.current_thread() is caller:
                 raise ValueError("the caller's piece failed")
             assert release.wait(30)  # until the caller has raised
-            return sides(tables, m, p)
+            return sides(tables, m, p, space)
 
         pool = ThreadPoolExecutor(1)
         monkeypatch.setitem(verifier._pools, os.getpid(), pool)
@@ -493,13 +494,13 @@ class TestPieces:
         caller, corner = threading.current_thread(), verifier.batch_corner_value
         helper_in = threading.Event()
 
-        def fail_off_the_caller(fs, m):
+        def fail_off_the_caller(fs, m, space=None):
             if threading.current_thread() is not caller:
                 helper_in.set()
                 raise ValueError("a helper piece failed")
             helper_in.wait(30)  # so that the helper claims the other piece
             helper_in.clear()
-            return corner(fs, m)
+            return corner(fs, m, space=space)
 
         config = TrialConfig(n=3, m=4, trials=40, seed=3)
         force_pieces(monkeypatch, 2)
@@ -530,10 +531,10 @@ class TestPieces:
         assert verify() == refused
         caller, corner, helper_out = threading.current_thread(), verifier.batch_corner_value, threading.Event()
 
-        def underflow_off_the_caller(fs, m):
+        def underflow_off_the_caller(fs, m, space=None):
             if threading.current_thread() is not caller:
                 try:
-                    return corner(fs, m)
+                    return corner(fs, m, space=space)
                 finally:
                     helper_out.set()
             assert helper_out.wait(30)  # the helper claimed the other piece and raised
@@ -544,22 +545,26 @@ class TestPieces:
         assert verify() == refused
 
     def test_an_overflowing_norm_product_computes_no_corner(self, monkeypatch):
-        """Every trial's norm product at n=200, m=8 overflows; serial or in
-        a helper's piece, verify exits 2 before it takes any corner."""
-        argv = ["verify", "--n", "200", "--m", "8", "--trials", "4"]
+        """Every trial's norm product at n=200, m=8 overflows, and trial 0's
+        check refuses it.  At n=1850, m=1 (exponential, seed 0) trial 0's
+        product is finite and those of trials 1 and 3 are not, so each piece
+        refuses itself: serial or in a helper's piece, verify exits 2
+        before it takes any corner."""
         refused = (2, "", "error: product of the norms overflows float64\n")
         corners, helper_errors, sides, helper_out = [], [], verifier._sides, threading.Event()
-        monkeypatch.setattr(verifier, "batch_corner_value", lambda fs, m: corners.append(fs.shape))
+        monkeypatch.setattr(verifier, "batch_corner_value", lambda fs, m, space=None: corners.append(fs.shape))
         force_pieces(monkeypatch, 1)
+        assert cli_run(["verify", "--n", "200", "--m", "8", "--trials", "4"]) == refused
+        argv = ["verify", "--n", "1850", "--m", "1", "--trials", "4", "--distribution", "exponential"]
         assert cli_run(argv) == refused
         caller = threading.current_thread()
 
-        def sides_after_the_helper(tables, m, p):
+        def sides_after_the_helper(tables, m, p, space=None):
             if threading.current_thread() is caller:
                 assert helper_out.wait(30)  # the helper claimed the other piece and raised
-                return sides(tables, m, p)
+                return sides(tables, m, p, space)
             try:
-                return sides(tables, m, p)
+                return sides(tables, m, p, space)
             except ValueError as exc:
                 helper_errors.append(str(exc))
                 raise
@@ -571,6 +576,19 @@ class TestPieces:
         assert cli_run(argv) == refused
         assert helper_errors == ["product of the norms overflows float64"]
         assert corners == []
+
+    def test_an_overflowing_norm_product_is_refused_after_one_draw(self):
+        """verify --n 200 --m 12 --trials 1024 used to draw a whole chunk of
+        245 trials (1.6 GB) before its norm product was refused; trial 0's
+        check refuses it after a draw of 200 x 2^12 values."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^product of the norms overflows float64$"):
+                run_trials(TrialConfig(n=200, m=12, trials=1024, seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200 * 2**20
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_a_fork_child_starts_its_own_helper(self, monkeypatch):
@@ -584,13 +602,13 @@ class TestPieces:
             caller, corner = threading.current_thread(), verifier.batch_corner_value
             threads, helper_in = set(), threading.Event()
 
-            def corner_spy(fs, m):
+            def corner_spy(fs, m, space=None):
                 threads.add(threading.current_thread())
                 if threading.current_thread() is caller:
                     helper_in.wait(10)  # so that a helper, if there is one, claims a piece
                 else:
                     helper_in.set()
-                return corner(fs, m)
+                return corner(fs, m, space=space)
 
             verifier.batch_corner_value = corner_spy
             send.send((run_trials(config), len(threads)))
@@ -637,3 +655,67 @@ class TestPieces:
         )
         every = subprocess.run(argv, env=env, capture_output=True, check=True)
         assert one.stdout.startswith(b"{") and one.stdout == every.stdout
+
+
+class TestKeptArrays:
+    """Each thread keeps its fold arrays between pieces and runs while they
+    total at most transform.KEEP_BYTES; nothing else keeps any."""
+
+    CELLS = [  # A, a larger and a smaller cell, then A again
+        TrialConfig(n=4, m=6, trials=700, seed=11),
+        TrialConfig(n=5, m=8, trials=300, seed=12, distribution="sparse", signed=True),
+        TrialConfig(n=3, m=3, trials=900, seed=13, distribution="exponential"),
+    ]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_kept_arrays_carry_no_values_between_runs(self, monkeypatch, cpus):
+        """Stale products of a larger cell and short tables of a smaller one
+        leave cell A's report as it is in a thread that kept nothing."""
+        force_pieces(monkeypatch, cpus)
+        monkeypatch.setattr(verifier, "_spaces", threading.local())
+        alone = run_trials(self.CELLS[0])
+        monkeypatch.setattr(verifier, "_spaces", threading.local())
+        reports = [run_trials(config) for config in self.CELLS + self.CELLS[:1]]
+        assert reports[-1] == reports[0] == alone
+        assert reports[1:3] == [run_trials(config) for config in self.CELLS[1:]]
+        assert verifier._spaces.space.kept.size > 0  # the caller kept its arrays
+
+    @staticmethod
+    def held_after(call) -> int:
+        """Bytes that tracemalloc still traces after call() returns (its
+        result dropped), against before it ran."""
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            call()
+            return tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+
+    def test_a_run_over_the_cap_keeps_nothing(self, monkeypatch):
+        """An m=6 run keeps its 14 rows; an m=12 run of 64 trials, whose two
+        arrays exceed the cap, leaves traced memory where it found it."""
+        force_pieces(monkeypatch, 1)
+        monkeypatch.setattr(verifier, "_spaces", threading.local())
+        small, large = TrialConfig(n=3, m=6, trials=64, seed=3), TrialConfig(n=3, m=12, trials=64, seed=3)
+        run_trials(large)  # builds popcounts(12), which every later run shares
+        assert 26 * 64 * 8 << 12 > transform.KEEP_BYTES  # the large run's table and product arrays
+        held = self.held_after(lambda: run_trials(small))
+        assert 14 * 64 * 8 << 6 <= held < (14 * 64 * 8 << 6) + (1 << 14)
+        kept = verifier._spaces.space.kept
+        assert abs(self.held_after(lambda: run_trials(large))) < 1 << 14
+        assert verifier._spaces.space.kept is kept  # the same buffer, neither grown nor dropped
+
+    def test_counts_convolutions_and_checks_keep_nothing(self):
+        rng = np.random.default_rng(9)
+        family = cubeconv.SetFamily(10, np.flatnonzero(rng.random(1 << 10) < 0.3))
+        f, g = (CubeFunction(10, rng.standard_normal(1 << 10), REAL) for _ in range(2))
+        calls = [
+            lambda: cubeconv.count_disjoint_tuples(family, 4),
+            lambda: transform.subset_convolve(f, g),
+            lambda: check_main_inequality([f, g, f]),
+            lambda: check_main_inequality(equality_witness(4, 9)),
+        ]
+        core.popcounts(10)  # built once per process
+        for call in calls:
+            assert abs(self.held_after(call)) < 1 << 14
