@@ -12,10 +12,11 @@ at once, so no int64 wraps.
 
 One fold serves every convolution: _fold_plan picks, in Python ints, the
 ranks each table and product holds, those that reach a wanted rank of h,
-and _fold runs the plan.  subset_convolve wants every rank; the corner,
-sum_S h(S) f_n(S^c), wants the ranks that f_n meets and only reads f_n;
-indicator_power_sum tabulates a set family from its members and reads h
-at them.
+and _fold runs the plan's rank products.  subset_convolve wants every
+rank; the corner, sum_S h(S) f_n(S^c), wants the ranks that f_n meets and
+only reads f_n; both invert the last product.  indicator_power_sum sums h
+over a family's members with no inversion: it reads the last product out
+against weights built once a count, the adjoint of the Moebius transform.
 
 Rank tables are mask-major, (ranks, 2^m, trials...).  The kernel works in
 cache-sized pieces and skips only adds of exact zeros and outputs nothing
@@ -128,30 +129,32 @@ def _evaluate_functions(fs: list[CubeFunction], kernel, bound) -> tuple[np.ndarr
 
 
 def _batch_zeta_inplace(a: np.ndarray, m: int, inverse: bool = False, ranks=None, floors=None):
-    """Sum over subsets along axis 1 of a C-contiguous (rows, 2^m, ...)
-    array, in place; inverse=True is Moebius.
+    """Sum over subsets along axis 1 of a (rows, 2^m, ...) array, in place,
+    C-contiguous or with its mask axis reversed; inverse=True is Moebius.
 
-    With `ranks`, row j has rank r = ranks[j] and floor floors[j] (default
-    r): it is +0.0 on masks of fewer than floor elements, and a zeta row
-    holds inputs on r-element masks only, a Moebius row is read only at
-    r-element masks.  Rows run in groups of up to _GROUP positions (or
-    alone), so a group stays in cache.  At bit b, with H the k = m-1-b
-    bits above b, the source (H, 0, L) sums inputs with high part H and
-    fewer than floor elements when |H| < floor - b, so it is +0.0; a zeta
-    source is also zero when |H| > r, and a Moebius target (H, 1, L) with
-    |H| > r-1 is never read.  So the butterfly runs only on floor - b <=
-    |H| <= r (r-1 for Moebius): H in [2^(floor-b) - 1, ((2^r - 1) <<
-    (k-r)) + 1) (a group: the union of its rows' slices).  A skipped add
-    of +0.0 could only turn a -0.0 target, an input not yet added to, into
-    +0.0.  The full butterfly first adds to an input at its lowest bit b,
-    where |H| = r-1: inside the slice if b >= 1, and the slice at b = 0
-    starts one lower.  So every value read is byte-identical."""
+    With `ranks`, row j has rank r = ranks[j].  Without `floors`, a row
+    holds inputs on r-element masks only (a zeta row, or a count's readout
+    row); with them, it is a rank product's row, +0.0 on masks of fewer
+    than floors[j] elements and read only at r-element masks (a Moebius
+    row).  Rows run in groups of up to _GROUP positions (or alone), so a
+    group stays in cache.  At bit b, with H the k = m-1-b bits above b,
+    the source (H, 0, L) sums inputs with high part H and fewer than floor
+    (default r) elements when |H| < floor - b, so it is +0.0; a source of
+    r-element inputs is also zero when |H| > r, and a product row's target
+    (H, 1, L) with |H| > r-1 is never read.  So the butterfly runs only on
+    floor - b <= |H| <= r (r-1 for a product row): H in [2^(floor-b) - 1,
+    ((2^r - 1) << (k-r)) + 1) (a group: the union of its rows' slices).
+    Subtracting +0.0 changes no value; a skipped add of +0.0 could only
+    turn a -0.0 target, an input not yet added to, into +0.0.  The full
+    butterfly first adds to an input at its lowest bit b, where |H| = r-1:
+    inside the slice if b >= 1, and the slice at b = 0 starts one lower.
+    So every value read is byte-identical."""
     op = np.subtract if inverse else np.add
     trials = math.prod(a.shape[2:])
     if ranks is None:
         lows, highs, per = [0] * len(a), [m] * len(a), max(1, len(a))
     else:
-        lows, highs = floors or ranks, [r - inverse for r in ranks]
+        lows, highs = floors or ranks, [r - (floors is not None) for r in ranks]
         per = max(1, _GROUP // (trials << m))
     for j in range(0, len(a), per):
         rows, low, high = a[j : j + per], min(lows[j : j + per]), max(highs[j : j + per])
@@ -189,15 +192,6 @@ def _ranks(masks: np.ndarray, m: int) -> list[int]:
     return [r for r in range(m + 1) if (ranks == r).any()]
 
 
-def _zeroed(out, shape: tuple, dtype) -> np.ndarray:
-    """A zero array of `shape`: the start of the flat array `out`, or a fresh one if out is None."""
-    if out is None:
-        return np.zeros(shape, dtype=dtype)
-    table = out[: math.prod(shape)].reshape(shape)
-    table.fill(0)
-    return table
-
-
 def _batch_ranked_zeta(a: np.ndarray, m: int, mod=None, ranks=None, out=None):
     """(..., 2^m) -> (ranks, table): `ranks` (default the rank support of
     `a`) and the per-rank zeta tables of those ranks, mask-major with
@@ -205,7 +199,9 @@ def _batch_ranked_zeta(a: np.ndarray, m: int, mod=None, ranks=None, out=None):
     `out` (default a fresh one).  A 1-D `a` gives (len(ranks), 2^m)."""
     ranks = _rank_support(a, m) if ranks is None else ranks
     rows, masks = _rank_slots(ranks, m)
-    table = _zeroed(out, (len(ranks), 1 << m) + a.shape[:-1], a.dtype)
+    shape = (len(ranks), 1 << m) + a.shape[:-1]
+    table = (np.empty(math.prod(shape), a.dtype) if out is None else out)[: math.prod(shape)].reshape(shape)
+    table.fill(0)
     table[rows, masks] = np.moveaxis(a, -1, 0)[masks]  # the gather transposes
     _batch_zeta_inplace(table, m, ranks=ranks)  # at most 2^m * mod < 2^53 before reducing
     if mod:
@@ -213,14 +209,34 @@ def _batch_ranked_zeta(a: np.ndarray, m: int, mod=None, ranks=None, out=None):
     return ranks, table
 
 
-def _member_zeta(members: np.ndarray, m: int, mod, ranks: list[int], out=None):
-    """_batch_ranked_zeta of the indicator of `members` (distinct int64
-    masks), scattered from the members with no 2^m indicator.  Its values
-    are at most 2^m < mod, so `mod` does not reduce them."""
+def _member_rows(members: np.ndarray, m: int, ranks: list[int]) -> np.ndarray:
+    """The indicator of the `members` (distinct int64 masks) of each rank in
+    `ranks`, one int32 row a rank, scattered from the members."""
     rows, masks = _rank_slots(ranks, m, members)
-    table = _zeroed(out, (len(ranks), 1 << m), np.int64)
+    table = np.zeros((len(ranks), 1 << m), dtype=np.int32)
     table[rows, masks] = 1
+    return table
+
+
+def _member_zeta(members: np.ndarray, m: int, ranks: list[int]):
+    """(ranks, table): the ranked zeta table of the indicator of `members`,
+    int32.  Its values are at most 2^m <= 2^24, below every modulus, so
+    every residue pass reads it as it is."""
+    table = _member_rows(members, m, ranks)
     _batch_zeta_inplace(table, m, ranks=ranks)
+    return ranks, table
+
+
+def _member_readout(members: np.ndarray, m: int, ranks: list[int]):
+    """(ranks, table): the readout weights of `members`, int32: row j, of
+    rank r = ranks[j], holds g(T) = (-1)^(r-|T|) #{A member of rank r : A
+    contains T}, so that sum_T P(T) g(T) is the Moebius transform of P
+    summed at the r-element members, and |g| <= 2^m.  g at T is the
+    subset Moebius transform of the members' complements, which lie on
+    rank m - r, at T^c: one trimmed butterfly a row, run on the row
+    reversed, a view that holds mask T^c at position T."""
+    table = _member_rows(members, m, ranks)
+    _batch_zeta_inplace(table[:, ::-1], m, inverse=True, ranks=[m - r for r in ranks])
     return ranks, table
 
 
@@ -229,25 +245,30 @@ def _sumset(a, b, keep) -> list[int]:
     return sorted({i + j for i in a for j in b}.intersection(keep))
 
 
-def _batch_rank_mult(a, b, m: int, mod=None, keep=None, out=None):
+def _batch_rank_mult(a, b, m: int, mod=None, keep=None, out=None, weights=None):
     """Product of two (ranks, table[, floors]) rank polynomials; returns
     (ranks, table, floors).  Builds the ranks k in the sumset of the
     supports that are in `keep` (default 0 .. m); row k sums a_i *
     b_(k-i) over the live pairs in ascending i, from 0.  A row is zero on
     masks with fewer elements than its floor: r for a zeta row of rank r
     (the default), else the least over its terms of their factors' larger.
-    The table is built at the start of the flat array `out` (default a
-    fresh one), which may hold a's table: the product then overwrites it.
+    The table is float64 for float64 factors and int64 for integer ones
+    (a count's zeta rows are int32), built at the start of the flat array
+    `out` (default a fresh one), which may hold a's table: the product
+    then overwrites it.  With `weights`, int32 rows at the product's ranks
+    (no trials axis), no table is written: it returns the readout, sum_k
+    sum_T P_k(T) weights_k(T) (_readout).
 
     Blocks of 2^c masks (about _BLOCK positions with their trials, at most
     half the masks) are built one at a time in a scratch array, so the
-    operands stay in cache, and written to `out` after their last read.
-    Block g holds the masks with high part g, and a term needs only those
-    from low part 2^(floor - |g|) - 1 on.  A skipped term is +-0 times a
-    finite value, and a sum from +0.0 never turns -0.0, so results are
-    bit-identical.  Under `mod` each term is added and its row reduced in
-    place: the row is below mod <= 2^31 - 1 and the term below mod^2 <
-    2^62, so the sum does not wrap, and a k-term row takes k remainders."""
+    operands stay in cache, and written to `out` (or read out) after their
+    last read.  Block g holds the masks with high part g, and a term needs
+    only those from low part 2^(floor - |g|) - 1 on.  A skipped term is
+    +-0 times a finite value, and a sum from +0.0 never turns -0.0, so
+    results are bit-identical.  Under `mod` each term is added and its row
+    reduced in place: the row is below mod <= 2^31 - 1 and the term below
+    mod^2 < 2^62, so the sum does not wrap, and a k-term row takes k
+    remainders."""
     (ranks_a, table_a, *floors_a), (ranks_b, table_b, *floors_b) = a, b
     floors_a, floors_b = (floors_a or [ranks_a])[0], (floors_b or [ranks_b])[0]
     slot_b = {r: j for j, r in enumerate(ranks_b)}
@@ -259,26 +280,65 @@ def _batch_rank_mult(a, b, m: int, mod=None, keep=None, out=None):
     size = trials << c
     # (rows, positions) views, sized explicitly: a table may have no rows
     flat_a, flat_b = (t.reshape(len(t), trials << m) for t in (table_a, table_b))
-    entries = len(ranks) * trials << m
-    table = (np.empty(entries, dtype=table_a.dtype) if out is None else out)[:entries]
-    table = table.reshape((len(ranks),) + table_a.shape[1:])
-    flat_out = table.reshape(len(ranks), trials << m)
-    block = np.empty((len(ranks) + 1, size), dtype=table.dtype)  # the block's rows, and a term
+    dtype = np.promote_types(table_a.dtype, np.int64)  # float64 stays, int32 and int64 give int64
+    if weights is None:
+        entries = len(ranks) * trials << m
+        table = (np.empty(entries, dtype=dtype) if out is None else out)[:entries]
+        table = table.reshape((len(ranks),) + table_a.shape[1:])
+        flat_out = table.reshape(len(ranks), trials << m)
+    total = 0
+    block = np.empty((len(ranks) + 1, size), dtype=dtype)  # the block's rows, and a term
     term = block[-1]
+    # int32 factor rows (a count's zeta table) are cast to int64 a block at a time, once for a squared table:
+    # numpy multiplies two int32 operands in int32 even into an int64 `out`, and casting in every term's
+    # multiply would cost more
+    factors = [flat_a] if table_b is table_a else [flat_a, flat_b]
+    casts = [np.empty((len(f), size), dtype) if f.dtype != dtype else None for f in factors]
     for g in range(1 << (m - c)):
         start, base = size * g, g.bit_count()
+        rows = [_cast(f[:, start : start + size], cast) for f, cast in zip(factors, casts)]
+        rows_a, rows_b = rows[0], rows[-1]
         block[:-1] = 0
         for acc_row, terms, row_floors in zip(block, pairs, floors):
             for (ia, ib), floor in zip(terms, row_floors):
                 lo = trials * ((1 << (floor - base)) - 1) if floor > base else 0
                 if lo < size:
-                    t, acc, span = term[lo:], acc_row[lo:], slice(start + lo, start + size)  # names: += in place
-                    np.multiply(flat_a[ia, span], flat_b[ib, span], out=t)
+                    t, acc = term[lo:], acc_row[lo:]  # names: += in place
+                    np.multiply(rows_a[ia, lo:], rows_b[ib, lo:], out=t)
                     acc += t
                     if mod:
                         acc %= mod
-        flat_out[:, start : start + size] = block[:-1]
+        if weights is None:
+            flat_out[:, start : start + size] = block[:-1]
+        else:
+            total += _readout(block[:-1], weights[:, start : start + size], mod, term)
+    if weights is not None:
+        return np.array([total % (mod or WORD)], dtype=np.uint64).view(np.int64)
     return ranks, table, [min(row_floors) for row_floors in floors]
+
+
+def _cast(view: np.ndarray, cast) -> np.ndarray:
+    """`view`, or with `cast` (an array of its shape) its values copied there."""
+    if cast is None:
+        return view
+    cast[...] = view
+    return cast
+
+
+def _readout(rows: np.ndarray, weights: np.ndarray, mod, term: np.ndarray) -> int:
+    """sum of rows * weights, int64 rows (below `mod` if set) and int32
+    weights of one shape, a power of two of masks, as a Python int that is
+    exact mod `mod` (None: mod 2^64, summed in uint64); `term` is one row
+    of scratch.  Under a prime p < 2^31 a term is below 2^31 * 2^24 = 2^55
+    in magnitude, so int64 sums of 2^8 terms do not wrap; each is reduced."""
+    total = 0
+    for row, weight in zip(rows, weights):
+        np.multiply(row, weight, out=term)
+        if mod:
+            total += int((term.reshape(-1, min(len(term), 256)).sum(axis=1) % mod).sum())
+        else:
+            total += int(term.view(np.uint64).sum())
+    return total
 
 
 def _fold_plan(supports: list[list[int]], need, m: int):
@@ -296,11 +356,17 @@ def _fold_plan(supports: list[list[int]], need, m: int):
         tables.append(_sumset(keep, [-r for r in products[-1]], s))
         products.append(_sumset(products[-1], tables[-1], keep))
     # the table array (every table but the first), the product array (the first table, products[1], and every
-    # product), and a product's block scratch (rows and a term, at batch 1) or 3 rows to tabulate or read (README)
-    block = min(1 << (m - 1), _BLOCK)
-    scratch = max([((len(p) + 1) * block - 1 >> m) + 1 for p in products[2:]], default=0)
-    peak = max(map(len, tables[1:]), default=0) + max(map(len, products[1:])) + max(3, scratch)
+    # product), and a product's block scratch or 3 rows to tabulate or read (README)
+    peak = max(map(len, tables[1:]), default=0) + max(map(len, products[1:])) + max(3, _block_rows(products[2:], m))
     return tables, products[2:], peak
+
+
+def _block_rows(products: list[list[int]], m: int, casts: int = 0) -> int:
+    """The largest block scratch of the `products` (its rows and a term, and
+    `casts` rows of int32 factors cast to int64, at batch 1, where it is
+    largest), in rows of 2^m masks, rounded up."""
+    block = min(1 << (m - 1), _BLOCK)
+    return max([((len(p) + 1 + casts) * block - 1 >> m) + 1 for p in products], default=0)
 
 
 def _fit_fold(peak: int, m: int, batch: int = 1) -> int:
@@ -313,8 +379,8 @@ def _fit_fold(peak: int, m: int, batch: int = 1) -> int:
 
 
 # A FoldSpace keeps its arrays while they total at most this: a piece of verify's criterion-3 grid
-# (n <= 5, m <= 8, 512 trials a piece on two CPUs) needs at most 18 MiB.
-KEEP_BYTES = 32 << 20
+# (n <= 5, m <= 8) needs at most 18 MiB on two CPUs (512 trials) and 36 MiB on one (1024 trials).
+KEEP_BYTES = 36 << 20
 
 
 class FoldSpace:
@@ -337,61 +403,57 @@ class FoldSpace:
         return [flat[: sizes[0]], flat[sizes[0] :]]
 
 
-def _fold(factors, supports: list[list[int]], need, m: int, mod, tabulate, space=None):
-    """(ranks, table): the subset convolution f_1 * ... * f_k (k >= 2) at
-    the ranks in `need` that it can reach, one row a rank, each row read
-    only at masks of its rank.  Once _fit_fold admits its plan, it runs in
-    two arrays, lent by `space` (a FoldSpace) or its own: a zeta table per
-    run of one object, by tabulate(factor, m, mod, ranks, out), in the
-    table array, or, for a first factor that the next does not repeat, in
-    the product array, where each product overwrites the last; then a
-    trimmed Moebius transform of the last product.  A repeated first
-    factor has the next one's support, so as many table ranks."""
-    tables, products, peak = _fold_plan(supports, need, m)
-    batch = math.prod(np.shape(factors[0])[:-1])
-    _fit_fold(peak, m, batch)
-    sizes = [max(map(len, rows)) * batch << m for rows in (tables[1:], tables[:1] + products)]
-    spare, held = space.arrays(sizes, factors[0].dtype) if space else [np.empty(s, factors[0].dtype) for s in sizes]
-    prod = prev = None
-    for a, ranks, built in zip(factors, tables, [None] + products):
-        if a is not prev:
-            first = built is None and factors[1] is not a
-            table, prev = tabulate(a, m, mod, ranks, held if first else spare), a
-        prod = table if built is None else _batch_rank_mult(prod, table, m, mod, built, held)
-    ranks, table, floors = prod
-    _batch_zeta_inplace(table, m, inverse=True, ranks=ranks, floors=floors)
-    return ranks, table
+def _fold(tables, products: list[list[int]], m: int, mod, held, weights=None):
+    """The rank products of a fold plan (_fold_plan): f_1 * ... * f_j at
+    the ranks products[j - 2], from the factors' zeta tables, which
+    `tables` yields in turn, (ranks, table) each, the j-th once product
+    j - 2 is built.  Each product overwrites the last in the flat array
+    `held`.  Returns the last product, (ranks, table, floors), or with
+    `weights`, its readout (_batch_rank_mult)."""
+    tables = iter(tables)
+    prod = next(tables)
+    for built, table in zip(products[:-1], tables):
+        prod = _batch_rank_mult(prod, table, m, mod, built, held)
+    return _batch_rank_mult(prod, next(tables), m, mod, products[-1], held, weights)
 
 
 def _convolve(arrays, m: int, mod, need, space=None) -> np.ndarray:
     """h (2^m, ...): the subset convolution of two or more (..., 2^m) arrays
-    at the masks whose rank is in `need`, 0 elsewhere."""
+    at the masks whose rank is in `need`, 0 elsewhere.  Once _fit_fold
+    admits its plan, the fold runs in two arrays, lent by `space` (a
+    FoldSpace) or its own: a zeta table per run of one object in the
+    table array, or, for a first factor that the next does not repeat, in
+    the product array, where each product overwrites the last; then a
+    trimmed Moebius transform of the last product, read at the masks of
+    each row's rank.  A repeated first factor has the next one's support,
+    so as many table ranks."""
     supports = []
     for j, a in enumerate(arrays):
         supports.append(supports[-1] if j and a is arrays[j - 1] else _rank_support(a, m))
-    ranks, table = _fold(arrays, supports, need, m, mod, _batch_ranked_zeta, space)
+    tables, products, peak = _fold_plan(supports, need, m)
+    batch = math.prod(arrays[0].shape[:-1])
+    _fit_fold(peak, m, batch)
+    sizes = [max(map(len, rows)) * batch << m for rows in (tables[1:], tables[:1] + products)]
+    dtype = arrays[0].dtype
+    spare, held = space.arrays(sizes, dtype) if space else [np.empty(size, dtype) for size in sizes]
+
+    def tabulated():
+        prev = None
+        for j, (a, ranks) in enumerate(zip(arrays, tables)):
+            if a is not prev:
+                first = j == 0 and arrays[1] is not a
+                table, prev = _batch_ranked_zeta(a, m, mod, ranks, held if first else spare), a
+            yield table
+
+    ranks, table, floors = _fold(tabulated(), products, m, mod, held)
+    del spare  # freed before the readout's 3 rows, which may then reuse its pages
+    _batch_zeta_inplace(table, m, inverse=True, ranks=ranks, floors=floors)
     rows, masks = _rank_slots(ranks, m)
     values = table[rows, masks]
     del rows  # so the readout holds 3 rows: the masks, their values and h
     h = np.zeros(table.shape[1:], dtype=table.dtype)
     h[masks] = values
     return np.remainder(h, mod, out=h) if mod else h
-
-
-def _member_sum(members: np.ndarray, m: int, k: int, mod) -> np.ndarray:
-    """sum over A in `members` of h(A), h the k-fold subset convolution of
-    their indicator, mod `mod` (None: wrapped int64).  Nothing but the
-    fold's own tables spans 2^m: the supports and the sum read only the
-    members."""
-    if k == 1:  # h is the indicator
-        return np.int64(len(members))
-    support = _ranks(members, m)
-    ranks, table = _fold([members] * k, [support] * k, support, m, mod, _member_zeta)
-    rows, masks = _rank_slots(ranks, m, members)
-    values = table[rows, masks]
-    if mod:
-        values %= mod  # from below 2^m * mod in magnitude into [0, mod), so the sum stays below 2^m * mod
-    return values.sum() % mod if mod else values.sum()
 
 
 def batch_corner_value(fs, m: int, mod=None, space=None) -> np.ndarray:
@@ -489,10 +551,33 @@ def indicator_power_sum(family: SetFamily, k: int) -> tuple[int, str]:
     Exact on int64 residues; kernel names the path as corner_convolution
     does, "int64" or "int64-crt<j>" (j moduli).  A k-tuple fixes its
     union, so the sum is at most |X|^k, the _corner_bound of k + 1
-    indicators."""
-    members = family.members
-    out, kernel = _evaluate(functools.partial(_member_sum, members, family.m, k), len(members) ** k)
+    indicators.
+
+    The int32 zeta table of 1_X and the readout weights (_member_readout)
+    are built once, from the members; each pass (one a modulus) runs the
+    rank products and reads the last one out against the weights, with no
+    Moebius transform and no dense h."""
+    members, m = family.members, family.m
+    if k == 1:  # h is the indicator
+        return len(members), "int64"
+    table, products, peak = _count_plan(_ranks(members, m), k, m)
+    _fit_fold(peak, m)
+    zeta, weights = _member_zeta(members, m, table), _member_readout(members, m, products[-1])
+    held = np.empty(max(map(len, products[:-1]), default=0) << m, dtype=np.int64)
+    out, kernel = _evaluate(lambda mod: _fold([zeta] * k, products, m, mod, held, weights[1]), len(members) ** k)
     return out.item(), kernel
+
+
+def _count_plan(support: list[int], k: int, m: int):
+    """(table, products, peak) of a count of k factors on `support`: the
+    ranks of its zeta table and products (_fold_plan), and the rows it
+    holds at once: int32 table and readout rows, two to a row, the product
+    array but the last product, which is read out as it is built, and the
+    larger of a block scratch, with the table's rows cast, and 3 rows of
+    member slots (README)."""
+    tables, products, _ = _fold_plan([support] * k, support, m)
+    held, block = max(map(len, products[:-1]), default=0), _block_rows(products, m, len(tables[0]))
+    return tables[0], products, (len(tables[0]) + len(products[-1]) + 1) // 2 + max(3, held + block)
 
 
 def _corner_bound(masses) -> int:

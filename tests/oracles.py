@@ -1,4 +1,5 @@
-"""Test oracles that share no code with the kernels they check."""
+"""Test oracles that share no code with the kernels they check, and a switch
+that sends exact results down the CRT path."""
 
 from __future__ import annotations
 
@@ -32,3 +33,12 @@ def product_family(x: SetFamily, y: SetFamily) -> SetFamily:
     count(X, n) * count(Y, n), and |X x Y| = |X| * |Y|."""
     # B major, then A: the masks come out strictly increasing
     return SetFamily(x.m + y.m, [a | b << x.m for b in y.members.tolist() for a in x.members.tolist()])
+
+
+def force_crt(monkeypatch):
+    """Make every exact result take the CRT path with three moduli: a
+    bound of 2^100 needs 2^64 and two primes."""
+    from cubeconv import transform
+
+    evaluate = transform._evaluate
+    monkeypatch.setattr(transform, "_evaluate", lambda residue, bound: evaluate(residue, max(bound, 2**100)))

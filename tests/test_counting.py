@@ -15,7 +15,7 @@ from cubeconv.counting import (
     extremal_family,
 )
 from cubeconv.transform import corner_convolution
-from oracles import product_family
+from oracles import force_crt, product_family
 
 
 def extremal_count_closed_form(n, t):
@@ -227,6 +227,36 @@ class TestMemberCount:
             tracemalloc.stop()
         assert rep.count == extremal_count_closed_form(n, t)
         assert peak < 3.5 * 8 * 2**18, peak / (8 * 2**18)
+
+
+class TestSharedTables:
+    """A count builds its int32 zeta table and readout weights once and
+    reads each pass's last product out against them: the CRT passes and
+    the edge ranks 0 and m, where the readout rows are g_0 and g_m."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_forced_crt_counts_of_random_families(self, monkeypatch, seed):
+        rng = random.Random(f"forced-crt:{seed}")
+        force_crt(monkeypatch)
+        for _ in range(6):
+            fam, n = random_family(rng, max_m=12), rng.randint(2, 5)
+            rep = bound_report(fam, n)
+            assert rep.kernel == ("int64" if n == 2 else "int64-crt3")  # n=2 counts |X| with no fold
+            assert rep.count == count_disjoint_tuples(fam, n, "brute")
+            assert rep.count == sparse_subset_dp_count(fam.members.tolist(), fam.m, n)
+
+    @pytest.mark.parametrize("crt", [False, True], ids=["wrapped", "crt"])
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_families_holding_the_empty_and_the_full_set(self, monkeypatch, n, crt):
+        rng = random.Random(f"edge-ranks:{n}")
+        if crt:
+            force_crt(monkeypatch)
+        for m in (1, 2, 3, 5, 6):
+            others = rng.sample(range(1, (1 << m) - 1), min((1 << m) - 2, rng.randint(0, 6)))
+            fam = SetFamily.from_masks(m, [0, (1 << m) - 1, *others])
+            rep = bound_report(fam, n)
+            assert rep.kernel == ("int64-crt3" if crt and n > 2 else "int64")
+            assert rep.count == count_disjoint_tuples(fam, n, "brute") > 0
 
 
 class TestProductFamilies:

@@ -4,6 +4,7 @@ subset_convolve run the same plan and executor."""
 
 import functools
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -14,26 +15,37 @@ from cubeconv import core, transform, verifier
 from cubeconv.core import INT, REAL, CubeFunction, SetFamily, popcounts
 from cubeconv.counting import count_disjoint_tuples, extremal_family
 from cubeconv.transform import _fit_fold, _fold_plan, batch_corner_value, corner_convolution, subset_convolve
+from oracles import force_crt
 
 
 def spy(monkeypatch):
     """Record the ranks of each zeta table (from arrays or from a family's
-    members) and each rank product built."""
-    built = {"zeta": [], "product": []}
+    members), each count's readout weights, each Moebius butterfly and
+    each rank product built."""
+    built = {"zeta": [], "readout": [], "moebius": [], "product": []}
 
     def record(name, kind):
         original = getattr(transform, name)
 
         def run(*args, **kwargs):
             out = original(*args, **kwargs)
-            built[kind].append(out[0])
+            built[kind].append(out[0] if isinstance(out, tuple) else args[4])  # a readout: the ranks kept
             return out
 
         monkeypatch.setattr(transform, name, run)
 
     record("_batch_ranked_zeta", "zeta")
     record("_member_zeta", "zeta")
+    record("_member_readout", "readout")
     record("_batch_rank_mult", "product")
+    butterfly = transform._batch_zeta_inplace
+
+    def moebius(a, m, inverse=False, ranks=None, floors=None):
+        if inverse:
+            built["moebius"].append(ranks)
+        butterfly(a, m, inverse, ranks, floors)
+
+    monkeypatch.setattr(transform, "_batch_zeta_inplace", moebius)
     return built
 
 
@@ -52,9 +64,12 @@ def test_plans_of_the_layered_counts_at_m24(n, t, tables, products):
     f_n(S^c) needs the same ranks of h.  Every table and product is one
     row, so the peak is 5: the table array's row, the product array's row
     and 3 scratch rows (a product's block scratch is 1 row); 671 MB at
-    m=24, against 335 MB (n=3) and 430 MB measured."""
+    m=24, against 335 MB (n=3) and 430 MB measured before a count had
+    its own plan.  A count's plan is 4: one row holds its int32 table and
+    readout rows, and the product array and block scratch fit in 3."""
     layers = [t, (n - 1) * t]
     assert _fold_plan([layers] * (n - 1), layers, 24) == (tables, products, 5)
+    assert transform._count_plan(layers, n - 1, 24) == (tables[0], products, 4)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -110,6 +125,37 @@ def test_nothing_that_ran_before_the_plan_budget_is_refused():
         tables, products, peak = _fold_plan([list(range(m + 1)), list(range(m + 1))], range(m + 1), m)
         assert today_admits(tables + products, m) and plan_admits(peak, m)
     assert verifier._fit_trials(verifier.TrialConfig(2, 24, 1, 0)) == 1
+
+
+def test_a_count_plans_no_more_rows_than_its_fold_did():
+    """A count holds its int32 table and readout rows, two to a row, and no
+    last product, where the fold that counted before held int64 tables,
+    every product and Moebius-inverted the last.  The count's plan is at
+    most the fold's for every layered family, for the family CI counts at
+    m=24 (ranks 4, 12, 20), for every two-rank support at m=24 and for
+    the largest count plan (36 rows, the budget) that a search found among
+    m=24 supports whose fold plan the budget admits.  On other m=24
+    supports (the only m where the budget binds) it is over only where its
+    last product has 5 or more ranks than its largest table: by one row in
+    this sample, by up to 3 in a search (21 rows against 18).  Below m=16
+    the cast rows of a block (a quarter to a half of the masks) can put it
+    further over, by 7 rows for the full support at m=14 (43 against 36),
+    far inside the budget there.  No sampled plan that the fold's budget
+    admitted is refused."""
+    cases = [([t, (n - 1) * t], n - 1, n * t) for n in range(3, 25) for t in range(1, 24 // n + 1)]
+    cases += [([4, 12, 20], 5, 24), ([1, 2, 6, 7, 8, 9, 10, 11, 13, 14, *range(16, 25)], 6, 24)]
+    cases += [([a, b], k, 24) for a, b in itertools.combinations(range(25), 2) for k in (2, 5)]
+    for support, k, m in cases:
+        assert transform._count_plan(support, k, m)[2] <= _fold_plan([support] * k, support, m)[2]
+    rng = random.Random("count-plan")
+    for _ in range(3000):
+        m, k = rng.choice([24, rng.randint(1, 23)]), rng.randint(2, 24)
+        support = sorted(rng.sample(range(m + 1), rng.randint(1, m + 1)))
+        tables, products, fold_peak = _fold_plan([support] * k, support, m)
+        peak = transform._count_plan(support, k, m)[2]
+        if peak > fold_peak and m == 24:
+            assert peak == fold_peak + 1 and len(products[-1]) >= max(map(len, tables)) + 5
+        assert plan_admits(peak, m) or not plan_admits(fold_peak, m)
 
 
 def memory_cases():
@@ -177,15 +223,28 @@ def test_a_plan_holds_exactly_the_ranks_of_the_useful_choices(seed):
     assert products[-1] == sorted({sum(c) for c in useful})
 
 
+@pytest.mark.parametrize("crt", [False, True], ids=["wrapped", "crt"])
 @pytest.mark.parametrize("n,t", [(6, 2), (4, 3), (12, 1), (5, 4)])
-def test_a_count_builds_its_plan_once_per_pass(monkeypatch, n, t):
-    """f_1 = ... = f_(n-1) is tabulated once, then the planned products."""
+def test_a_count_builds_its_tables_once_and_its_products_once_a_pass(monkeypatch, n, t, crt):
+    """f_1 = ... = f_(n-1) is tabulated once and the readout weights of the
+    last product's rank are built once, whatever the pass count; each pass
+    builds the planned products.  No Moebius transform runs but the
+    readout's one butterfly, on the complements' rank t."""
     layers = [t, (n - 1) * t]
     tables, products, _ = _fold_plan([layers] * (n - 1), layers, n * t)
     built = spy(monkeypatch)
-    count_disjoint_tuples(extremal_family(n, t), n)
-    passes = len(built["zeta"])
-    assert passes >= 1 and built == {"zeta": tables[:1] * passes, "product": products * passes}
+    if crt:
+        force_crt(monkeypatch)
+    count, kernel = transform.indicator_power_sum(extremal_family(n, t), n - 1)
+    assert count == math.comb(n * t, (n - 1) * t) * math.factorial((n - 1) * t) // math.factorial(t) ** (n - 1)
+    assert kernel == ("int64-crt3" if crt else "int64")
+    passes = 3 if crt else 1
+    assert built == {
+        "zeta": tables[:1],
+        "readout": [[(n - 1) * t]],
+        "moebius": [[t]],
+        "product": products * passes,
+    }
 
 
 def signed_zero_draws(rng, m):
@@ -219,7 +278,8 @@ def test_subset_convolve_tabulates_only_the_ranks_that_reach_m(monkeypatch, flav
     g = CubeFunction(m, [draw() if s.bit_count() >= 3 else 0 * draw() for s in range(1 << m)], flavor)
     built = spy(monkeypatch)
     h = subset_convolve(f, g)
-    assert built == {"zeta": [[0, 1, 2, 3], [3, 4, 5, 6]], "product": [[3, 4, 5, 6]]}
+    want = {"zeta": [[0, 1, 2, 3], [3, 4, 5, 6]], "readout": [], "moebius": [[3, 4, 5, 6]], "product": [[3, 4, 5, 6]]}
+    assert built == want
     for s in range(1 << m):
         subs = [a for a in range(1 << m) if a & s == a]
         want = sum(f.values[a] * g.values[s ^ a] for a in subs)

@@ -612,7 +612,11 @@ class TestKernelBoundaries:
     @pytest.mark.parametrize("m", range(1, 11))
     @pytest.mark.parametrize("kind", ["float", "int", "mod"])
     @pytest.mark.parametrize("group", [1, None], ids=["row-by-row", "grouped"])
-    def test_trimmed_ranked_zeta_equals_the_full_butterfly(self, monkeypatch, m, kind, group):
+    @pytest.mark.parametrize("inverse", [False, True], ids=["zeta", "moebius"])
+    def test_trimmed_ranked_zeta_equals_the_full_butterfly(self, monkeypatch, m, kind, group, inverse):
+        """Rows of inputs on one rank each, as zeta rows and a count's
+        readout rows are: trimmed, both transforms equal the full ones at
+        every mask."""
         if group:  # small rows share a pass on the union of their slices; here each runs alone
             monkeypatch.setattr(transform, "_GROUP", group)
         rng = np.random.default_rng([m, len(kind)])
@@ -620,8 +624,8 @@ class TestKernelBoundaries:
             ranks = sorted(rng.choice(m + 1, size=rng.integers(1, m + 2), replace=False).tolist())
             table = ranked_rows(rng, m, ranks, int(rng.integers(1, 4)), kind)
             full, trimmed = table.copy(), table.copy()
-            _batch_zeta_inplace(full, m)
-            _batch_zeta_inplace(trimmed, m, ranks=ranks)
+            _batch_zeta_inplace(full, m, inverse)
+            _batch_zeta_inplace(trimmed, m, inverse, ranks=ranks)
             if kind == "mod":
                 full %= MERSENNE
                 trimmed %= MERSENNE
@@ -741,6 +745,94 @@ class TestKernelBoundaries:
         ranks, table, _ = _batch_rank_mult(tb, tb, m, keep=[m])  # ranks 2 only, 5 wanted
         assert ranks == [] and table.shape == (0, 1 << m) + batch
         assert np.array_equal(batch_corner_value(np.stack([b, b]), m), np.zeros(batch))
+
+
+@pytest.mark.parametrize("mod", [None, MERSENNE], ids=["wrapped", "mod"])
+def test_int32_tables_multiply_in_int64(mod):
+    """A count's zeta rows are int32 and its products int64.  numpy
+    multiplies two int32 operands in int32 even into an int64 `out`
+    (100000^2 reads 1410065408), so the kernel casts int32 rows to int64
+    a block at a time (once for a table squared, as a count's first
+    product is).  Rows of values near 2^20, zero below their rank as zeta
+    rows are, against Python ints, as a table and as a readout."""
+    m, rng = 9, np.random.default_rng(20)
+    rank = np.array([s.bit_count() for s in range(1 << m)])
+
+    def table(ranks):
+        values = rng.integers(2**20 - 2**10, 2**20, (len(ranks), 1 << m))
+        return ranks, np.where(rank >= np.array(ranks)[:, None], values, 0).astype(np.int32)
+
+    ta, tb = table([0, 2, 3]), table([1, 2])
+    for (ranks_a, a), (ranks_b, b) in [(ta, tb), (ta, ta)]:
+        want = {}
+        for (ia, i), (ib, j) in itertools.product(enumerate(ranks_a), enumerate(ranks_b)):
+            terms = [int(x) * int(y) for x, y in zip(a[ia], b[ib])]
+            want[i + j] = [w + t for w, t in zip(want.get(i + j, [0] * (1 << m)), terms)]
+        ranks, got, _ = _batch_rank_mult((ranks_a, a), (ranks_b, b), m, mod)
+        assert ranks == sorted(want) and got.dtype == np.int64
+        assert [row.tolist() for row in got] == [[w % (mod or 2**64) for w in want[k]] for k in ranks]
+        weights = rng.integers(-(2**m), 2**m + 1, (len(ranks), 1 << m)).astype(np.int32)
+        readout = _batch_rank_mult((ranks_a, a), (ranks_b, b), m, mod, weights=weights)
+        total = sum(w * int(g) for k, row in zip(ranks, weights) for w, g in zip(want[k], row))
+        assert readout.dtype == np.int64 and int(readout.view(np.uint64)[0]) == total % (mod or 2**64)
+
+
+class TestReadout:
+    """sum_T P(T) g(T) of a count's last product against its int32 weights:
+    exact mod p under a prime, mod 2^64 in the wrapped pass."""
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_weights_are_signed_superset_counts(self, m):
+        """Row j holds g(T) = (-1)^(j-|T|) #{A member of rank j, A contains
+        T}: built in place through the reversed view, none lost to a copy."""
+        rng = np.random.default_rng([m, 41])
+        for _ in range(3):
+            members = np.flatnonzero(rng.random(1 << m) < 0.4)
+            ranks = sorted({int(a).bit_count() for a in members})
+            got_ranks, got = transform._member_readout(members, m, ranks)
+            assert got_ranks == ranks and got.dtype == np.int32
+            for row, j in zip(got, ranks):
+                for t in range(1 << m):
+                    above = sum(1 for a in members.tolist() if a.bit_count() == j and a & t == t)
+                    assert row[t] == (-1) ** (j - t.bit_count()) * above
+
+    @pytest.mark.parametrize("length", [128, 256, 512, _BLOCK])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_a_prime_pass_at_the_largest_terms(self, length, sign):
+        """P = p - 1 and |g| = 2^24 (|g| <= 2^m at MAX_M): a term is near
+        2^55, so 2^8 of them sum just below 2^63, and longer runs would
+        wrap.  Blocks (a power of two of masks) shorter than a run, one run
+        and several."""
+        p = MERSENNE
+        rows = np.full((2, length), p - 1, dtype=np.int64)
+        weights = np.full((2, length), sign * 2**24, dtype=np.int32)
+        weights[1, ::3] = -sign * 2**24
+        term = np.empty(length, dtype=np.int64)
+        want = sum(int(w) * (p - 1) for w in weights.ravel().tolist())
+        assert transform._readout(rows, weights, p, term) % p == want % p
+
+    def test_a_prime_pass_through_the_product(self):
+        """Factors whose product row is p - 1 on every mask of at least j
+        elements, read out against +-2^24 across many product blocks."""
+        m, j, p = 15, 3, MERSENNE
+        rank = np.array([s.bit_count() for s in range(1 << m)])
+        ones = ([0], np.ones((1, 1 << m), dtype=np.int32))
+        top = ([j], np.where(rank >= j, p - 1, 0)[None].astype(np.int64))
+        weights = np.where(np.arange(1 << m) % 5 == 0, -(2**24), 2**24)[None].astype(np.int32)
+        got = _batch_rank_mult(ones, top, m, p, weights=weights)
+        want = sum((p - 1) * int(w) for w, r in zip(weights[0].tolist(), rank.tolist()) if r >= j)
+        assert got.tolist() == [want % p]
+
+    def test_the_wrapped_pass_near_2_63(self):
+        """Products near +-2^63 (residues of the wrapped pass) times int32
+        weights: the sum is exact mod 2^64."""
+        rng = np.random.default_rng(63)
+        length = 3 * _BLOCK + 7
+        rows = rng.integers(2**63 - 2**20, 2**63, (3, length), dtype=np.int64) * rng.choice([-1, 1], (3, length))
+        weights = rng.integers(-(2**31), 2**31, (3, length)).astype(np.int32)
+        term = np.empty(length, dtype=np.int64)
+        want = sum(int(x) * int(w) for x, w in zip(rows.ravel().tolist(), weights.ravel().tolist()))
+        assert transform._readout(rows, weights, None, term) % 2**64 == want % 2**64
 
 
 def one_call_butterfly(a, m, inverse=False):
@@ -876,7 +968,11 @@ class TestRankTableBudget:
         m = 12
         family = SetFamily.from_masks(m, range(1 << m))
         row = 8 << m
-        peak = 33 * row  # n=3: the 13-row table, the 13-row product and a block scratch of 14 half rows
+        # n=3: the 13 int32 table rows and 13 readout rows, no product array (the one product is read out as it
+        # is built) and its block scratch of 27 half rows: 13 rows and a term, and the squared table's 13 rows
+        # cast to int64
+        peak = 27 * row
+        assert transform._count_plan(list(range(m + 1)), 2, m)[2] == 27
         assert self.refused_peak(monkeypatch, peak // 3 - 1, lambda: count_disjoint_tuples(family, 3)) < row
 
     def test_run_trials_refuses_before_drawing(self, monkeypatch):

@@ -706,6 +706,20 @@ class TestKeptArrays:
         assert abs(self.held_after(lambda: run_trials(large))) < 1 << 14
         assert verifier._spaces.space.kept is kept  # the same buffer, neither grown nor dropped
 
+    def test_a_one_cpu_grid_piece_keeps_its_arrays(self, monkeypatch):
+        """On one CPU an n=5, m=8 run of 1024 trials is one piece, the
+        largest of verify's criterion-3 grid: its table and product arrays
+        (9 + 9 rows of 2^8 masks x 1024 trials) total KEEP_BYTES, so they
+        are kept, and the next run folds in the same buffer."""
+        force_pieces(monkeypatch, 1)
+        monkeypatch.setattr(verifier, "_spaces", threading.local())
+        config = TrialConfig(n=5, m=8, trials=1024, seed=14, distribution="sparse", signed=True)
+        first = run_trials(config)
+        kept = verifier._spaces.space.kept
+        assert kept.size == 18 * 1024 * 8 << 8 == transform.KEEP_BYTES
+        assert run_trials(config) == first
+        assert verifier._spaces.space.kept is kept
+
     def test_counts_convolutions_and_checks_keep_nothing(self):
         rng = np.random.default_rng(9)
         family = cubeconv.SetFamily(10, np.flatnonzero(rng.random(1 << 10) < 0.3))
