@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 
 import numpy as np
 
@@ -155,7 +156,7 @@ def _batch_zeta_inplace(a: np.ndarray, m: int, inverse: bool = False, ranks=None
         lows, highs, per = [0] * len(a), [m] * len(a), max(1, len(a))
     else:
         lows, highs = floors or ranks, [r - (floors is not None) for r in ranks]
-        per = max(1, _GROUP // (trials << m))
+        per = max(1, _GROUP // max(trials << m, 1))
     for j in range(0, len(a), per):
         rows, low, high = a[j : j + per], min(lows[j : j + per]), max(highs[j : j + per])
         for b in range(m):
@@ -378,29 +379,27 @@ def _fit_fold(peak: int, m: int, batch: int = 1) -> int:
     return budget // row
 
 
-# A FoldSpace keeps its arrays while they total at most this: a piece of verify's criterion-3 grid
-# (n <= 5, m <= 8) needs at most 18 MiB on two CPUs (512 trials) and 36 MiB on one (1024 trials).
+# A thread keeps its batched folds' arrays while they total at most this: a piece of verify's criterion-3
+# grid (n <= 5, m <= 8) needs at most 18 MiB on two CPUs (512 trials) and 36 MiB on one (1024 trials).
 KEEP_BYTES = 36 << 20
+_kept = threading.local()  # each thread's buffer, kept from batched fold to batched fold
 
 
-class FoldSpace:
-    """One thread's fold arrays, kept in one buffer from fold to fold while
-    they total at most KEEP_BYTES, so a fold reuses pages already mapped."""
-
-    def __init__(self):
-        self.kept = np.empty(0, dtype=np.uint8)
-
-    def arrays(self, sizes: list[int], dtype) -> list[np.ndarray]:
-        """The table and product arrays, flat, of `sizes` values of `dtype`:
-        views of the kept buffer, grown as needed, or fresh ones, kept by no
-        one, over KEEP_BYTES."""
-        nbytes = sum(sizes) * dtype.itemsize
-        if nbytes > KEEP_BYTES:
-            return [np.empty(size, dtype=dtype) for size in sizes]
-        if self.kept.size < nbytes:
-            self.kept = np.empty(nbytes, dtype=np.uint8)
-        flat = self.kept[:nbytes].view(dtype)
-        return [flat[: sizes[0]], flat[sizes[0] :]]
+def _fold_arrays(arrays, sizes: list[int]) -> list[np.ndarray]:
+    """The table and product arrays, flat, of `sizes` values of the
+    factors' dtype.  A batched fold (factors with a trials axis) takes
+    views of the calling thread's buffer, grown as needed, so it reuses
+    pages already mapped; any other fold, or one over KEEP_BYTES, gets
+    fresh arrays, kept by no one."""
+    dtype = arrays[0].dtype
+    nbytes = sum(sizes) * dtype.itemsize
+    if arrays[0].ndim == 1 or nbytes > KEEP_BYTES:
+        return [np.empty(size, dtype=dtype) for size in sizes]
+    kept = vars(_kept).setdefault("buffer", np.empty(0, dtype=np.uint8))
+    if kept.size < nbytes:
+        kept = _kept.buffer = np.empty(nbytes, dtype=np.uint8)
+    flat = kept[:nbytes].view(dtype)
+    return [flat[: sizes[0]], flat[sizes[0] :]]
 
 
 def _fold(tables, products: list[list[int]], m: int, mod, held, weights=None):
@@ -417,16 +416,15 @@ def _fold(tables, products: list[list[int]], m: int, mod, held, weights=None):
     return _batch_rank_mult(prod, next(tables), m, mod, products[-1], held, weights)
 
 
-def _convolve(arrays, m: int, mod, need, space=None) -> np.ndarray:
+def _convolve(arrays, m: int, mod, need) -> np.ndarray:
     """h (2^m, ...): the subset convolution of two or more (..., 2^m) arrays
     at the masks whose rank is in `need`, 0 elsewhere.  Once _fit_fold
-    admits its plan, the fold runs in two arrays, lent by `space` (a
-    FoldSpace) or its own: a zeta table per run of one object in the
-    table array, or, for a first factor that the next does not repeat, in
-    the product array, where each product overwrites the last; then a
-    trimmed Moebius transform of the last product, read at the masks of
-    each row's rank.  A repeated first factor has the next one's support,
-    so as many table ranks."""
+    admits its plan, the fold runs in two arrays (_fold_arrays): a zeta
+    table per run of one object in the table array, or, for a first factor
+    that the next does not repeat, in the product array, where each
+    product overwrites the last; then a trimmed Moebius transform of the
+    last product, read at the masks of each row's rank.  A repeated first
+    factor has the next one's support, so as many table ranks."""
     supports = []
     for j, a in enumerate(arrays):
         supports.append(supports[-1] if j and a is arrays[j - 1] else _rank_support(a, m))
@@ -434,8 +432,7 @@ def _convolve(arrays, m: int, mod, need, space=None) -> np.ndarray:
     batch = math.prod(arrays[0].shape[:-1])
     _fit_fold(peak, m, batch)
     sizes = [max(map(len, rows)) * batch << m for rows in (tables[1:], tables[:1] + products)]
-    dtype = arrays[0].dtype
-    spare, held = space.arrays(sizes, dtype) if space else [np.empty(size, dtype) for size in sizes]
+    spare, held = _fold_arrays(arrays, sizes)
 
     def tabulated():
         prev = None
@@ -456,7 +453,7 @@ def _convolve(arrays, m: int, mod, need, space=None) -> np.ndarray:
     return np.remainder(h, mod, out=h) if mod else h
 
 
-def batch_corner_value(fs, m: int, mod=None, space=None) -> np.ndarray:
+def batch_corner_value(fs, m: int, mod=None) -> np.ndarray:
     """Corner convolution of a batch of function tuples.
 
     fs has shape (n, ..., 2^m), or is a list of n such arrays; returns
@@ -470,7 +467,7 @@ def batch_corner_value(fs, m: int, mod=None, space=None) -> np.ndarray:
     be), and a zero corner reads +0.0 whatever the zero signs of its
     terms, so a trial's value is the same bit for bit in any batch or
     chunk.  Under `mod`, h and the terms are reduced, so the sums stay
-    below 2^m * mod.  `space`, a FoldSpace, lends the fold its arrays.
+    below 2^m * mod.
     """
     n = len(fs)
     if n == 1:
@@ -479,7 +476,7 @@ def batch_corner_value(fs, m: int, mod=None, space=None) -> np.ndarray:
     if n == 2:
         h = np.multiply(np.moveaxis(fs[0], -1, 0), last, out=np.empty(last.shape, dtype=last.dtype))
     else:
-        h = _convolve(list(fs[:-1]), m, mod, _rank_support(fs[-1][..., ::-1], m), space)
+        h = _convolve(list(fs[:-1]), m, mod, _rank_support(fs[-1][..., ::-1], m))
         h *= last
     if mod:
         h %= mod

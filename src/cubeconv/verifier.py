@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import REAL, CubeFunction, check_m, exponent, fit_budget, lp_norms, popcounts
-from .transform import FoldSpace, _fit_fold, _fold_plan, batch_corner_value
+from .transform import _fit_fold, _fold_plan, batch_corner_value
 
 # Both sides of a check can be ~0, so pass/fail combines a relative and
 # an absolute floor.
@@ -227,18 +226,17 @@ def _norms(tables, p: float) -> np.ndarray:
     return rhs
 
 
-def _sides(tables, m: int, p: float, space=None) -> tuple[np.ndarray, np.ndarray]:
+def _sides(tables, m: int, p: float) -> tuple[np.ndarray, np.ndarray]:
     """lhs and rhs of every check: the corner of the function tables over
     2^m masks, and the product of their p-norms.  `tables` is n arrays of
-    shape (..., 2^m), or one (n, ..., 2^m) array; neither is written.  The
-    corner's fold takes its arrays from `space`, a FoldSpace, if given.
+    shape (..., 2^m), or one (n, ..., 2^m) array; neither is written.
     Refuses what the JSON report cannot say, in this order: a norm
     product that overflows float64, then a corner that underflows or
     overflows it.  So a run whose norms overflow computes no corner."""
     rhs = _norms(tables, p)
     try:  # a corner that underflows would read 0, pass on ABS_TOL and measure no ratio
         with np.errstate(over="ignore", invalid="ignore", under="raise"):  # under: the corner alone
-            lhs = batch_corner_value(tables, m, space=space)
+            lhs = batch_corner_value(tables, m)
     except FloatingPointError:
         raise ValueError("corner convolution underflows float64") from None
     if not np.all(np.isfinite(lhs)):
@@ -252,7 +250,6 @@ def _sides(tables, m: int, p: float, space=None) -> tuple[np.ndarray, np.ndarray
 # pool, not its threads, so it makes its own.  (An os.register_at_fork
 # hook would instead keep every imported copy of this module alive.)
 _pools: dict = {}  # pid -> concurrent.futures.ThreadPoolExecutor
-_spaces = threading.local()  # each thread's FoldSpace, kept between its pieces and between runs
 
 
 def run_trials(config: TrialConfig, chunk: int = 1024) -> dict:
@@ -266,9 +263,9 @@ def run_trials(config: TrialConfig, chunk: int = 1024) -> dict:
     The caller waits for a helper only while a piece is unfinished, and a
     piece that raises drains the claims.  A trial's sides do not depend
     on its piece, so the report does not depend on the CPU count.  Each
-    thread folds in its own FoldSpace.  Where the norm product can
-    overflow, trial 0's is checked before any piece is drawn, so a run
-    whose norms overflow refuses after one trial's draw."""
+    thread keeps its fold arrays (transform._fold_arrays).  Where the norm
+    product can overflow, trial 0's is checked before any piece is drawn,
+    so a run whose norms overflow refuses after one trial's draw."""
     p = exponent(config.n)
     chunk = min(chunk, _fit_trials(config), config.trials)
     if config.n * (6 + config.m / p) > 1000:  # |draws| < 53 ln 2 < 2^6, so a norm is below 2^(6 + m/p)
@@ -280,11 +277,10 @@ def run_trials(config: TrialConfig, chunk: int = 1024) -> dict:
     done: list = []  # (failures, largest ratio) of each finished piece
 
     def work(start: int | None) -> None:
-        space = vars(_spaces).setdefault("space", FoldSpace())
         while start is not None:
             try:
                 idx = np.arange(start, min(start + pieces.step, config.trials))
-                lhs, rhs = _sides(_draw_functions(config, idx), config.m, p, space)
+                lhs, rhs = _sides(_draw_functions(config, idx), config.m, p)
             except BaseException:
                 for _ in claims:  # so that no thread claims another piece
                     pass

@@ -410,18 +410,19 @@ class TestRankSparse:
                 for a, b in zip(got, want):
                     assert a == pytest.approx(b, rel=1e-9, abs=1e-12)
 
+    @pytest.mark.parametrize("shape", [(3, 4), (3, 0)])  # (3, 0): an empty batch
     @pytest.mark.parametrize("dtype", [np.float64, np.int64])
-    def test_multi_axis_batch_equals_the_flat_batch(self, dtype):
+    def test_multi_axis_batch_equals_the_flat_batch(self, dtype, shape):
         rng = np.random.default_rng(6)
         n, m = 3, 6
-        fs = rng.integers(-5, 6, size=(n, 3, 4, 1 << m)).astype(dtype)
+        fs = rng.integers(-5, 6, size=(n, *shape, 1 << m)).astype(dtype)
         if dtype == np.float64:
             fs *= rng.exponential(size=fs.shape)
         batch = batch_corner_value(fs, m)
-        flat = batch_corner_value(fs.reshape(n, 12, 1 << m), m)
-        assert batch.shape == (3, 4)
+        flat = batch_corner_value(fs.reshape(n, math.prod(shape), 1 << m), m)
+        assert batch.shape == shape
         assert batch.dtype == flat.dtype == dtype
-        assert np.array_equal(batch, flat.reshape(3, 4))
+        assert np.array_equal(batch, flat.reshape(shape))
 
     @pytest.mark.parametrize("dtype", [np.float64, np.int64])
     def test_batch_rank_zero_in_some_trials(self, dtype):
@@ -987,9 +988,9 @@ class TestRankTableBudget:
         whole = run_trials(config)
         batches = []
 
-        def spy(fs, m, space=None):
+        def spy(fs, m):
             batches.append(fs.shape[1])
-            return batch_corner_value(fs, m, space=space)
+            return batch_corner_value(fs, m)
 
         monkeypatch.setattr(verifier, "batch_corner_value", spy)
         monkeypatch.setattr(core, "RANK_TABLE_BUDGET", 3 * (config.m + 1) * 8 << config.m)
@@ -1001,9 +1002,9 @@ class TestRankTableBudget:
         whole = run_trials(config)
         batches = []
 
-        def spy(fs, m, space=None):
+        def spy(fs, m):
             batches.append(fs.shape[1])
-            return batch_corner_value(fs, m, space=space)
+            return batch_corner_value(fs, m)
 
         monkeypatch.setattr(verifier, "batch_corner_value", spy)
         draw = 2 * config.n * 8 << config.m  # the value plane and one transient plane

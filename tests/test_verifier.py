@@ -105,7 +105,7 @@ class TestMainInequality:
         path = tmp_path / "wide.txt"
         path.write_text("m=1 count=5\n" + "0.0 1e190\n" * 5)  # each norm is finite, their product is not
         corners = []
-        monkeypatch.setattr(verifier, "batch_corner_value", lambda fs, m, space=None: corners.append(m))
+        monkeypatch.setattr(verifier, "batch_corner_value", lambda fs, m: corners.append(m))
         refused = (2, "", "error: product of the norms overflows float64\n")
         assert cli_run(["verify", "--functions", str(path)]) == refused
         assert corners == []
@@ -411,13 +411,13 @@ class TestPieces:
             piece.idx = idx
             return draw(config, idx)
 
-        def corner_spy(fs, m, space=None):
+        def corner_spy(fs, m):
             threads.add(threading.current_thread())
             if threading.current_thread() is not caller:
                 helper_in.set()
             elif not serial_run:
                 helper_in.wait(30)  # so that a helper claims a piece
-            return corner(fs, m, space=space)
+            return corner(fs, m)
 
         def passes_spy(lhs, rhs):  # each trial's lhs and rhs, by the index its piece drew
             for t, one_lhs, one_rhs in zip(piece.idx.tolist(), lhs, rhs, strict=True):
@@ -473,12 +473,12 @@ class TestPieces:
         sides, entries, release = verifier._sides, [], threading.Event()
         caller = threading.current_thread()
 
-        def fail_on_the_caller(tables, m, p, space=None):
+        def fail_on_the_caller(tables, m, p):
             entries.append(threading.current_thread())
             if threading.current_thread() is caller:
                 raise ValueError("the caller's piece failed")
             assert release.wait(30)  # until the caller has raised
-            return sides(tables, m, p, space)
+            return sides(tables, m, p)
 
         pool = ThreadPoolExecutor(1)
         monkeypatch.setitem(verifier._pools, os.getpid(), pool)
@@ -494,13 +494,13 @@ class TestPieces:
         caller, corner = threading.current_thread(), verifier.batch_corner_value
         helper_in = threading.Event()
 
-        def fail_off_the_caller(fs, m, space=None):
+        def fail_off_the_caller(fs, m):
             if threading.current_thread() is not caller:
                 helper_in.set()
                 raise ValueError("a helper piece failed")
             helper_in.wait(30)  # so that the helper claims the other piece
             helper_in.clear()
-            return corner(fs, m, space=space)
+            return corner(fs, m)
 
         config = TrialConfig(n=3, m=4, trials=40, seed=3)
         force_pieces(monkeypatch, 2)
@@ -531,10 +531,10 @@ class TestPieces:
         assert verify() == refused
         caller, corner, helper_out = threading.current_thread(), verifier.batch_corner_value, threading.Event()
 
-        def underflow_off_the_caller(fs, m, space=None):
+        def underflow_off_the_caller(fs, m):
             if threading.current_thread() is not caller:
                 try:
-                    return corner(fs, m, space=space)
+                    return corner(fs, m)
                 finally:
                     helper_out.set()
             assert helper_out.wait(30)  # the helper claimed the other piece and raised
@@ -552,19 +552,19 @@ class TestPieces:
         before it takes any corner."""
         refused = (2, "", "error: product of the norms overflows float64\n")
         corners, helper_errors, sides, helper_out = [], [], verifier._sides, threading.Event()
-        monkeypatch.setattr(verifier, "batch_corner_value", lambda fs, m, space=None: corners.append(fs.shape))
+        monkeypatch.setattr(verifier, "batch_corner_value", lambda fs, m: corners.append(fs.shape))
         force_pieces(monkeypatch, 1)
         assert cli_run(["verify", "--n", "200", "--m", "8", "--trials", "4"]) == refused
         argv = ["verify", "--n", "1850", "--m", "1", "--trials", "4", "--distribution", "exponential"]
         assert cli_run(argv) == refused
         caller = threading.current_thread()
 
-        def sides_after_the_helper(tables, m, p, space=None):
+        def sides_after_the_helper(tables, m, p):
             if threading.current_thread() is caller:
                 assert helper_out.wait(30)  # the helper claimed the other piece and raised
-                return sides(tables, m, p, space)
+                return sides(tables, m, p)
             try:
-                return sides(tables, m, p, space)
+                return sides(tables, m, p)
             except ValueError as exc:
                 helper_errors.append(str(exc))
                 raise
@@ -602,13 +602,13 @@ class TestPieces:
             caller, corner = threading.current_thread(), verifier.batch_corner_value
             threads, helper_in = set(), threading.Event()
 
-            def corner_spy(fs, m, space=None):
+            def corner_spy(fs, m):
                 threads.add(threading.current_thread())
                 if threading.current_thread() is caller:
                     helper_in.wait(10)  # so that a helper, if there is one, claims a piece
                 else:
                     helper_in.set()
-                return corner(fs, m, space=space)
+                return corner(fs, m)
 
             verifier.batch_corner_value = corner_spy
             send.send((run_trials(config), len(threads)))
@@ -658,8 +658,8 @@ class TestPieces:
 
 
 class TestKeptArrays:
-    """Each thread keeps its fold arrays between pieces and runs while they
-    total at most transform.KEEP_BYTES; nothing else keeps any."""
+    """Each thread keeps its batched folds' arrays between pieces and runs
+    while they total at most transform.KEEP_BYTES; nothing else keeps any."""
 
     CELLS = [  # A, a larger and a smaller cell, then A again
         TrialConfig(n=4, m=6, trials=700, seed=11),
@@ -672,13 +672,13 @@ class TestKeptArrays:
         """Stale products of a larger cell and short tables of a smaller one
         leave cell A's report as it is in a thread that kept nothing."""
         force_pieces(monkeypatch, cpus)
-        monkeypatch.setattr(verifier, "_spaces", threading.local())
+        monkeypatch.setattr(transform, "_kept", threading.local())
         alone = run_trials(self.CELLS[0])
-        monkeypatch.setattr(verifier, "_spaces", threading.local())
+        monkeypatch.setattr(transform, "_kept", threading.local())
         reports = [run_trials(config) for config in self.CELLS + self.CELLS[:1]]
         assert reports[-1] == reports[0] == alone
         assert reports[1:3] == [run_trials(config) for config in self.CELLS[1:]]
-        assert verifier._spaces.space.kept.size > 0  # the caller kept its arrays
+        assert transform._kept.buffer.size > 0  # the caller kept its arrays
 
     @staticmethod
     def held_after(call) -> int:
@@ -696,15 +696,15 @@ class TestKeptArrays:
         """An m=6 run keeps its 14 rows; an m=12 run of 64 trials, whose two
         arrays exceed the cap, leaves traced memory where it found it."""
         force_pieces(monkeypatch, 1)
-        monkeypatch.setattr(verifier, "_spaces", threading.local())
+        monkeypatch.setattr(transform, "_kept", threading.local())
         small, large = TrialConfig(n=3, m=6, trials=64, seed=3), TrialConfig(n=3, m=12, trials=64, seed=3)
         run_trials(large)  # builds popcounts(12), which every later run shares
         assert 26 * 64 * 8 << 12 > transform.KEEP_BYTES  # the large run's table and product arrays
         held = self.held_after(lambda: run_trials(small))
         assert 14 * 64 * 8 << 6 <= held < (14 * 64 * 8 << 6) + (1 << 14)
-        kept = verifier._spaces.space.kept
+        kept = transform._kept.buffer
         assert abs(self.held_after(lambda: run_trials(large))) < 1 << 14
-        assert verifier._spaces.space.kept is kept  # the same buffer, neither grown nor dropped
+        assert transform._kept.buffer is kept  # the same buffer, neither grown nor dropped
 
     def test_a_one_cpu_grid_piece_keeps_its_arrays(self, monkeypatch):
         """On one CPU an n=5, m=8 run of 1024 trials is one piece, the
@@ -712,13 +712,31 @@ class TestKeptArrays:
         (9 + 9 rows of 2^8 masks x 1024 trials) total KEEP_BYTES, so they
         are kept, and the next run folds in the same buffer."""
         force_pieces(monkeypatch, 1)
-        monkeypatch.setattr(verifier, "_spaces", threading.local())
+        monkeypatch.setattr(transform, "_kept", threading.local())
         config = TrialConfig(n=5, m=8, trials=1024, seed=14, distribution="sparse", signed=True)
         first = run_trials(config)
-        kept = verifier._spaces.space.kept
+        kept = transform._kept.buffer
         assert kept.size == 18 * 1024 * 8 << 8 == transform.KEEP_BYTES
         assert run_trials(config) == first
-        assert verifier._spaces.space.kept is kept
+        assert transform._kept.buffer is kept
+
+    def test_unbatched_folds_leave_the_kept_buffer_as_it_is(self, monkeypatch):
+        """A convolution, a check and a witness between two batched runs
+        fold at m=10 in more than an m=4 run keeps, yet the second run
+        folds in the buffer the first kept."""
+        force_pieces(monkeypatch, 1)
+        monkeypatch.setattr(transform, "_kept", threading.local())
+        config = TrialConfig(n=4, m=4, trials=64, seed=15)
+        first = run_trials(config)
+        kept = transform._kept.buffer
+        size = kept.size
+        rng = np.random.default_rng(10)
+        f, g = (CubeFunction(10, rng.standard_normal(1 << 10), REAL) for _ in range(2))
+        transform.subset_convolve(f, g)
+        check_main_inequality([f, g, f])
+        check_main_inequality(equality_witness(4, 10))
+        assert run_trials(config) == first
+        assert transform._kept.buffer is kept and kept.size == size
 
     def test_counts_convolutions_and_checks_keep_nothing(self):
         rng = np.random.default_rng(9)
