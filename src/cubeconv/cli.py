@@ -11,8 +11,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -30,6 +32,15 @@ EXIT_USAGE = 2
 # comma-separated elements, "-" for the empty set, "#" comments.
 
 
+def _decimal(lineno: int, what: str, token: str) -> int:
+    """int(token) for ASCII digits, refusing any other spelling that int()
+    reads ("1_0", "+3", "３"); a "-" sign passes, so that a negative value
+    is refused by its caller's range check, never accepted."""
+    if not re.fullmatch(r"-?[0-9]+", token):
+        raise ValueError(f"line {lineno}: {what} {token!r} is not a decimal integer")
+    return int(token)
+
+
 def _set_elements(lineno: int, line: str) -> list[int]:
     """The elements of one set line ("-" is the empty set), checked in order."""
     elems = []
@@ -37,7 +48,7 @@ def _set_elements(lineno: int, line: str) -> list[int]:
         piece = piece.strip()
         if not piece:
             raise ValueError(f"line {lineno}: empty element")
-        e = int(piece)
+        e = _decimal(lineno, "element", piece)
         if e < 1:
             raise ValueError(f"line {lineno}: element {e} out of range (1-based)")
         elems.append(e)
@@ -142,7 +153,7 @@ def _parse_lines(text: str) -> SetFamily:
                 raise ValueError(f"line {lineno}: header must precede all sets")
             if m is not None:
                 raise ValueError(f"line {lineno}: duplicate header")
-            m = int(line[2:])
+            m = _decimal(lineno, "m", line[2:].strip())
             if m < 1:
                 raise ValueError(f"line {lineno}: m must be >= 1")
             continue
@@ -198,7 +209,9 @@ def parse_functions(text: str) -> list[CubeFunction]:
     tokens = " ".join(lines).split()
     if len(tokens) < 2 or not tokens[0].startswith("m=") or not tokens[1].startswith("count="):
         raise ValueError('function file must start with a "m=<int> count=<n>" header')
-    m, n = int(tokens[0][2:]), int(tokens[1][6:])
+    located = ((lineno, token) for lineno, line in enumerate(lines, start=1) for token in line.split())
+    (m_line, _), (n_line, _) = itertools.islice(located, 2)  # the lines of the header's two tokens
+    m, n = _decimal(m_line, "m", tokens[0][2:]), _decimal(n_line, "count", tokens[1][6:])
     check_m(m)  # before n << m, which a huge m overflows
     if n < 1:
         raise ValueError(f"need count >= 1, got {n}")

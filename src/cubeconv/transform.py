@@ -99,29 +99,26 @@ def _evaluate(residue, bound: int) -> tuple[np.ndarray, str]:
 
 
 def _evaluate_functions(fs: list[CubeFunction], kernel, bound) -> tuple[np.ndarray, str]:
-    """Run kernel(arrays, mod=...) on the tables of fs; return the result
-    array and the name of the path taken.  The kernel allocates with its
-    inputs' dtype: float64 in real flavor, int64 residues in integer.
+    """Run kernel(arrays, mod=...) on the tables of fs, which must share
+    fs[0]'s m and flavor; return the result array and the name of the path
+    taken.  The kernel allocates with its inputs' dtype: float64 in real
+    flavor, int64 residues in integer.
 
     Real flavor runs once on float64 and refuses non-finite values.
     Integer flavor is exact (_evaluate): bound() maps each function's
-    (sum |f|, max |f|) to B >= |result|.  A function repeated in fs
-    reaches the kernel as one array, so the kernel can tabulate it once."""
-
-    def ordered(arrays: dict) -> list[np.ndarray]:
-        return [arrays[id(f)] for f in fs]
-
+    (sum |f|, max |f|) to B >= |result|."""
+    for f in fs[1:]:
+        if f.m != fs[0].m:
+            raise ValueError(f"ground-set size mismatch: {fs[0].m} != {f.m}")
+        if f.flavor != fs[0].flavor:
+            raise ValueError(f"flavor mismatch: {fs[0].flavor!r} vs {f.flavor!r}")
+    tables = [f.table for f in fs]
     if fs[0].flavor == REAL:
-        if not all(np.isfinite(f.table).all() for f in fs):  # the trimmed kernels skip +-0 x a finite value
+        if not all(np.isfinite(t).all() for t in tables):  # the trimmed kernels skip +-0 x a finite value
             raise ValueError("real-flavor values must be finite")
-        return kernel([f.table for f in fs], mod=None), "float64"
-    arrays = {id(f): f.table for f in fs}
-    masses = {key: _mass(a) for key, a in arrays.items()}
-
-    def residue(mod):
-        return kernel(ordered({key: _residues(a, mod) for key, a in arrays.items()}), mod=mod)
-
-    return _evaluate(residue, bound(ordered(masses)))
+        return kernel(tables, mod=None), "float64"
+    masses = [_mass(t) for t in tables]
+    return _evaluate(lambda mod: kernel([_residues(t, mod) for t in tables], mod=mod), bound(masses))
 
 
 # ---------------------------------------------------------------------------
@@ -485,13 +482,6 @@ def batch_corner_value(fs, m: int, mod=None) -> np.ndarray:
     return h[0] % mod if mod else h[0] + 0
 
 
-def _check_compatible(f: CubeFunction, g: CubeFunction):
-    if f.m != g.m:
-        raise ValueError(f"ground-set size mismatch: {f.m} != {g.m}")
-    if f.flavor != g.flavor:
-        raise ValueError(f"flavor mismatch: {f.flavor!r} vs {g.flavor!r}")
-
-
 def _lattice_transform(f: CubeFunction, inverse: bool) -> CubeFunction:
     def kernel(arrays, mod):
         out = arrays[0][None].copy()
@@ -518,7 +508,6 @@ def subset_convolve(f: CubeFunction, g: CubeFunction) -> CubeFunction:
 
     O(2^m m^2) via _convolve at every rank; exact in integer flavor.
     """
-    _check_compatible(f, g)
     # fixing A fixes B = S \ A, so |h(S)| <= sum|f| max|g|, and likewise swapped: _corner_bound
     out, _ = _evaluate_functions([f, g], functools.partial(_convolve, m=f.m, need=range(f.m + 1)), _corner_bound)
     return CubeFunction(f.m, out, f.flavor)
@@ -533,8 +522,6 @@ def corner_convolution(fs: list[CubeFunction], *, with_kernel: bool = False):
     """
     if not fs:
         raise ValueError("need at least one function")
-    for f in fs[1:]:
-        _check_compatible(fs[0], f)
     out, kernel = _evaluate_functions(fs, functools.partial(batch_corner_value, m=fs[0].m), _corner_bound)
     value = out.item()  # a Python float or int, by flavor
     return (value, kernel) if with_kernel else value

@@ -53,18 +53,20 @@ def trial_uniforms(seed: int, trial_indices: np.ndarray, slots: int, start: int 
 
     Draw (i, j) is a pure function of (seed, i, j): slot j of the
     splitmix64 stream whose key is mix(mix(seed) + i).  The draws are
-    made in place on slabs of whole trials, about _SLAB draws each, and
-    written into one float64 output, bit for bit as one pass would.
+    made in place on slabs of at most _SLAB draws, whole trials or, for a
+    trial of more slots, runs of _SLAB of its slots, and written into one
+    float64 output, bit for bit as one pass would.
     """
     per_slab = max(1, _SLAB // max(slots, 1))
     out = np.empty((len(trial_indices), slots))
     keys = _mix64(_mix64(np.full(1, seed, dtype=np.uint64)) + trial_indices.astype(np.uint64))
-    steps = np.arange(start + 1, start + slots + 1, dtype=np.uint64) * _GOLDEN
-    for t0 in range(0, len(out), per_slab):
-        z = _mix64(keys[t0 : t0 + per_slab, None] + steps)
-        z >>= np.uint64(11)
-        # below 2^53 the int64 view is the same number, and converts faster
-        np.multiply(z.view(np.int64), 2.0**-53, out=out[t0 : t0 + per_slab])
+    for s0 in range(0, slots, _SLAB):
+        steps = np.arange(start + s0 + 1, start + min(s0 + _SLAB, slots) + 1, dtype=np.uint64) * _GOLDEN
+        for t0 in range(0, len(out), per_slab):
+            z = _mix64(keys[t0 : t0 + per_slab, None] + steps)
+            z >>= np.uint64(11)
+            # below 2^53 the int64 view is the same number, and converts faster
+            np.multiply(z.view(np.int64), 2.0**-53, out=out[t0 : t0 + per_slab, s0 : s0 + _SLAB])
     return out
 
 

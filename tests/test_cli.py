@@ -85,9 +85,11 @@ class TestFamilyFiles:
             cli.parse_family(text)
 
     def test_non_canonical_element_spellings(self):
-        fam = cli.parse_family("m=4\n 2 ,+3\n04\n1,2 # c\n-\n")
+        fam = cli.parse_family("m= 4\n 2 , 3\n04\n1,2 # c\n-\n")
         assert fam == cli.parse_family("m=4\n2,3\n4\n1,2\n-\n")
         assert fam.members.tolist() == [0, 0b0011, 0b0110, 0b1000]
+        with pytest.raises(ValueError, match=r"^line 2: element '\+3' is not a decimal integer$"):
+            cli.parse_family("m=4\n 2 ,+3\n")
 
     def test_round_trip(self):
         rng = random.Random(6)
@@ -213,11 +215,22 @@ class TestCountCommand:
 
     @pytest.mark.parametrize(
         "text, message",
-        [("m=2\n0,2\n", "line 2: element 0 out of range (1-based)"), ("m=3\n", "family file contains no sets")],
+        [
+            ("m=2\n0,2\n", "line 2: element 0 out of range (1-based)"),
+            ("m=3\n", "family file contains no sets"),
+            ("m=2\n-1\n", "line 2: element -1 out of range (1-based)"),
+            # integers that int() reads, but not in ASCII digits
+            ("1_0\n", "line 1: element '1_0' is not a decimal integer"),
+            ("m=4\n1,+3\n", "line 2: element '+3' is not a decimal integer"),
+            ("\uff13\n", "line 1: element '\uff13' is not a decimal integer"),
+            ("1\n0x1\n", "line 2: element '0x1' is not a decimal integer"),
+            ("m=0_3\n1\n", "line 1: m '0_3' is not a decimal integer"),
+            ("# h\nm=+3\n1\n", "line 2: m '+3' is not a decimal integer"),
+        ],
     )
     def test_malformed_family_exits_2(self, tmp_path, capsys, text, message):
         path = tmp_path / "bad.txt"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         code, out, err = run_cli(capsys, "count", "--family", str(path), "--n", "3")
         assert (code, out, err) == (2, None, f"error: {message}\n")
 
@@ -268,6 +281,23 @@ class TestVerifyCommand:
         assert (code, out) == (2, None)
         assert f"m={m} out of range [1, 24]" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("m=1_0 count=1", "line 1: m '1_0' is not a decimal integer"),
+            ("m=+1 count=1", "line 1: m '+1' is not a decimal integer"),
+            ("m=1 count=\u0662", "line 1: count '\u0662' is not a decimal integer"),
+            ("m=0x1 count=1", "line 1: m '0x1' is not a decimal integer"),
+            ("# a\nm=1\n\ncount=\uff12", "line 4: count '\uff12' is not a decimal integer"),
+            ("m=-1 count=1", "m=-1 out of range [1, 24]"),
+        ],
+    )
+    def test_a_header_integer_not_in_ascii_digits_exits_2(self, tmp_path, capsys, header, message):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"{header}\n1.0 1.0\n1.0 1.0\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "verify", "--functions", str(path))
+        assert (code, out, err) == (2, None, f"error: {message}\n")
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400"])
     def test_non_finite_value_in_function_file_exits_2(self, tmp_path, capsys, token):
@@ -378,6 +408,16 @@ class TestVerifyCommand:
         path.write_text("m=1 count=2\n1e200 1e200\n1e-100 1e-100\n")  # the corner is 2e100
         code, out, err = run_cli(capsys, "verify", "--functions", str(path))
         assert (code, out, err) == (2, None, "error: product of the norms overflows float64\n")
+
+    def test_a_corner_that_overflows_exits_2(self, tmp_path, capsys):
+        """The norm product is finite, and so is the corner's exact value,
+        3^5 terms of 1e106; the ranked fold's products of zeta sums of
+        1e153-sized values are not."""
+        path = tmp_path / "wide.txt"
+        rows = [" ".join([v] * 32) for v in ("1e153", "1e153", "1e-200")]
+        path.write_text("m=5 count=3\n" + "\n".join(rows) + "\n")
+        code, out, err = run_cli(capsys, "verify", "--functions", str(path))
+        assert (code, out, err) == (2, None, "error: corner convolution overflows float64\n")
 
     def test_a_corner_that_underflows_exits_2(self, tmp_path, capsys):
         path = tmp_path / "tiny.txt"

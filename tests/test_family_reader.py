@@ -128,10 +128,27 @@ class TestDifferential:
             "m=3\r\n1\r\n",
             "1\nm=3\n",
             pytest.param(",".join(["1"] * 256 + ["9"]) + "\n", id="256-ones-and-a-9"),  # sums to {10}
+            # integers int() reads but the format does not: only ASCII digits
+            "1_0\n",
+            "+3\n",
+            "\uff13\n",  # fullwidth 3
+            "0x1\n",
+            "1,\u0662\n",  # Arabic-Indic 2
+            "m=0_3\n1\n",
+            "m=+3\n1\n",
+            "m=\uff13\n1\n",
+            "m=-1\n1\n",
+            "m= 3\n1\n",
+            "1 # \u00e9\n",
+            "m=3\n1,3 # \u00e9\n2\n",
         ],
     )
     def test_edge_cases(self, text):
         assert_same(text)
+
+    def test_a_non_ascii_comment_leaves_the_family_as_it_is(self):
+        """A non-ASCII file goes to the line parser, which drops comments."""
+        assert cli.parse_family("m=3\n1,3 # \u00e9\n2\n") == cli.parse_family("m=3\n1,3\n2\n")
 
 
 def test_canonical_m21_file_never_enters_the_line_parser(monkeypatch):

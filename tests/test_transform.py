@@ -241,12 +241,27 @@ class TestSubsetConvolve:
         )
 
     def test_flavor_mismatch_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^flavor mismatch: 'int' vs 'real'$"):
             subset_convolve(CubeFunction(1, [1, 1], INT), CubeFunction(1, [1.0, 1.0], REAL))
 
     def test_m_mismatch_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^ground-set size mismatch: 1 != 2$"):
             subset_convolve(CubeFunction(1, [1, 1], INT), CubeFunction(2, [1, 1, 1, 1], INT))
+
+    @pytest.mark.parametrize(
+        "fs,message",
+        [
+            # each function against the first, in order, m before flavor
+            ([(1, INT), (2, REAL)], r"ground-set size mismatch: 1 != 2"),
+            ([(1, INT), (1, REAL), (2, INT)], r"flavor mismatch: 'int' vs 'real'"),
+            ([(1, INT), (1, INT), (2, REAL)], r"ground-set size mismatch: 1 != 2"),
+            ([(2, REAL), (2, REAL), (2, INT)], r"flavor mismatch: 'real' vs 'int'"),
+        ],
+    )
+    def test_a_corner_names_the_first_mismatch(self, fs, message):
+        fs = [CubeFunction(m, [1.0 if flavor == REAL else 1] * (1 << m), flavor) for m, flavor in fs]
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            corner_convolution(fs)
 
     def test_a_corner_of_no_functions_is_refused(self):
         with pytest.raises(ValueError, match="^need at least one function$"):

@@ -286,15 +286,40 @@ class TestTrials:
             (0, [0, 1, 2], 5, 0),
             (2**64 - 1, [7, 2**40, 2**63 + 3], 4, 2**40),
             (12345, list(range(70)), 1000, 3),  # 32 trials a slab: 32, 32 and 6
-            (99, [4, 0, 9], 40_000, 17),  # more slots than a slab: one trial each
+            (99, [4, 0, 9], 40_000, 17),  # more slots than a slab: runs of 2^15 slots of one trial
+            (5, [1], 2**16 + 1, 2**33),
         ],
     )
     def test_draws_match_the_splitmix64_definition(self, seed, indices, slots, start):
         got = trial_uniforms(seed, np.array(indices, dtype=np.uint64), slots, start=start)
-        cols = range(slots) if len(indices) * slots <= 70_000 else [0, 1, 2**15 - 1, 2**15, slots - 1]
+        edges = [0, 1, 2**15 - 1, 2**15, 2**15 + 1, 2**16 - 1, 2**16, slots - 1]
+        cols = range(slots) if len(indices) * slots <= 70_000 else sorted({j for j in edges if j < slots})
         want = [[uniform_by_definition(seed, i, start + j) for j in cols] for i in indices]
         assert got.shape == (len(indices), slots)
         assert got[:, list(cols)].tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("slab", [1, 7, 64])
+    @pytest.mark.parametrize(
+        "trials,slots,start", [(5, 48, 0), (3, 100, 9), (1, 1000, 2**40), (40, 3, 5), (2, 0, 0), (0, 9, 0)]
+    )
+    def test_draws_do_not_depend_on_the_slab(self, monkeypatch, slab, trials, slots, start):
+        idx = np.arange(11, 11 + trials)
+        whole = trial_uniforms(3, idx, slots, start=start)
+        monkeypatch.setattr(verifier, "_SLAB", slab)
+        got = trial_uniforms(3, idx, slots, start=start)
+        assert got.shape == whole.shape == (trials, slots)
+        assert got.tobytes() == whole.tobytes()
+
+    def test_a_large_trial_is_drawn_in_slabs(self):
+        """A trial of 2^22 slots holds its output and a few slabs, not
+        three arrays as large as the output."""
+        tracemalloc.start()
+        try:
+            trial_uniforms(0, np.arange(1), 1 << 22)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (8 << 22) + 6 * 8 * verifier._SLAB
 
     @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
     @pytest.mark.parametrize("signed", [False, True])
