@@ -9,8 +9,8 @@ exact integers ("int" flavor).
 
 from __future__ import annotations
 
+import decimal
 import functools
-import math
 import numbers
 from dataclasses import dataclass, field
 
@@ -21,12 +21,9 @@ import numpy as np
 # three for a fold plan's peak, so all of m <= 23 fits, and one for draws.
 MAX_M = 24
 RANK_TABLE_BUDGET = 24 * 8 << 23
-# p_n's expanded form loses about log2(n) bits to cancellation; exponent(n)
-# is refused when it is further than this from the cancellation-free form.
-# It is a thousandth of the verifier's REL_TOL.
-P_REL_TOL = 1e-12
-# Every n <= 4008 is within P_REL_TOL and n = 4009 is not; past it, passing
-# and failing n interleave.  So exponent(n) admits one interval, 2..MAX_N.
+# exponent(n) admits 2 <= n <= MAX_N, which bounds the work an n buys: an
+# n-fold count or corner runs n - 1 rank products, and `count` at an n near
+# MAX_N takes about 46 s (README).
 MAX_N = 4000
 
 REAL = "real"
@@ -164,26 +161,21 @@ def fit_budget(what: str, entry: int, batch: int = 1) -> int:
     return RANK_TABLE_BUDGET // max(entry, 1)
 
 
-def _check_p(n: int, p: float) -> None:
-    """p must be in (1, 2] and within P_REL_TOL of 1 + (n-1) log1p(1/(n-1)) / ln n."""
-    if not 1.0 < p <= 2.0 or abs(p - 1.0 - (n - 1) * math.log1p(1 / (n - 1)) / math.log(n)) > P_REL_TOL * p:
-        raise ValueError(f"p={p} for n={n} is outside (1, 2] or off p_n by more than {P_REL_TOL} relative")
-
-
+@functools.cache
 def exponent(n: int) -> float:
-    """Sharp exponent p_n = [n ln n - (n-1) ln(n-1)] / ln n for n >= 2.
+    """Sharp exponent p_n = [n ln n - (n-1) ln(n-1)] / ln n for 2 <= n <= MAX_N,
+    correctly rounded to float64.
 
-    Uses the expanded logarithm form: n^n overflows floats long before
-    n=64, the expanded form never does.  Its difference cancels as n grows
-    (to 0 at n = 10^16), so n is capped at MAX_N, which keeps p in (1, 2]
-    and c = n/p finite; _check_p then checks p.
-    """
+    The form is evaluated in 60 decimal digits, where `decimal` rounds each
+    ln correctly and the difference loses fewer than 4 of them, then rounded
+    once by float()."""
     if not 2 <= n <= MAX_N:
         raise ValueError(f"exponent requires 2 <= n <= {MAX_N} (n=1 has a 0/0 exponent), got {n}")
-    ln_n = math.log(n)
-    p = (n * ln_n - (n - 1) * math.log(n - 1)) / ln_n
-    _check_p(n, p)
-    return p
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        d = decimal.Decimal(int(n) if isinstance(n, numbers.Integral) else n)  # numpy ints too
+        ln_n = d.ln()
+        return float((d * ln_n - (d - 1) * (d - 1).ln()) / ln_n)
 
 
 def lp_norms(x: np.ndarray, p: float) -> np.ndarray:

@@ -117,8 +117,16 @@ def _evaluate_functions(fs: list[CubeFunction], kernel, bound) -> tuple[np.ndarr
         if not all(np.isfinite(t).all() for t in tables):  # the trimmed kernels skip +-0 x a finite value
             raise ValueError("real-flavor values must be finite")
         return kernel(tables, mod=None), "float64"
-    masses = [_mass(t) for t in tables]
-    return _evaluate(lambda mod: kernel([_residues(t, mod) for t in tables], mod=mod), bound(masses))
+    masses = _per_run(_mass, tables)
+    return _evaluate(lambda mod: kernel(_per_run(lambda t: _residues(t, mod), tables), mod=mod), bound(masses))
+
+
+def _per_run(fn, items) -> list:
+    """fn of each item, called once per run of one object: a repeat shares the result."""
+    out = []
+    for j, x in enumerate(items):
+        out.append(out[-1] if j and x is items[j - 1] else fn(x))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -422,9 +430,7 @@ def _convolve(arrays, m: int, mod, need) -> np.ndarray:
     product overwrites the last; then a trimmed Moebius transform of the
     last product, read at the masks of each row's rank.  A repeated first
     factor has the next one's support, so as many table ranks."""
-    supports = []
-    for j, a in enumerate(arrays):
-        supports.append(supports[-1] if j and a is arrays[j - 1] else _rank_support(a, m))
+    supports = _per_run(lambda a: _rank_support(a, m), arrays)
     tables, products, peak = _fold_plan(supports, need, m)
     batch = math.prod(arrays[0].shape[:-1])
     _fit_fold(peak, m, batch)

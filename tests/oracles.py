@@ -3,6 +3,8 @@ that sends exact results down the CRT path."""
 
 from __future__ import annotations
 
+import decimal
+import functools
 import itertools
 import math
 
@@ -25,6 +27,21 @@ def corner_brute(fs: list[CubeFunction]):
             masks[j] |= 1 << coord
         total += math.prod(f.values[mask] for f, mask in zip(fs, masks))
     return total
+
+
+@functools.cache
+def p_ns(top: int) -> tuple[float, ...]:
+    """p_2, .., p_top from the cancellation-free form 1 + (n-1) L_n / ln n,
+    L_n = ln(1 + 1/(n-1)), with ln n = L_2 + .. + L_n summed from ln 1 = 0:
+    one ln an n, in 100 decimal digits, each p rounded once to float64."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 100
+        ps, ln_n = [], decimal.Decimal(0)
+        for n in range(2, top + 1):
+            step = (1 + decimal.Decimal(1) / (n - 1)).ln()
+            ln_n += step
+            ps.append(float(1 + (n - 1) * step / ln_n))
+    return tuple(ps)
 
 
 def product_family(x: SetFamily, y: SetFamily) -> SetFamily:

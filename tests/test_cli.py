@@ -9,6 +9,7 @@ import pytest
 
 from cubeconv import cli, counting
 from cubeconv.core import MAX_N, REAL, CubeFunction, SetFamily
+from oracles import p_ns
 
 
 def run_cli(capsys, *argv):
@@ -139,24 +140,22 @@ class TestExponentCommand:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 64, MAX_N])
     def test_prints_p_and_its_derived_fields(self, capsys, n):
-        ln_n = math.log(n)
-        p = (n * ln_n - (n - 1) * math.log(n - 1)) / ln_n  # the expanded form
+        p = p_ns(MAX_N)[n - 2]
         assert cli.main(["exponent", "--n", str(n)]) == 0
         assert capsys.readouterr().out == json.dumps({"c": n / p, "n": n, "p": p, "r": p - 1.0}) + "\n"
 
     @pytest.mark.parametrize("n", [10**15, 10**16, 10**400])
     def test_n_whose_p_cancels_exits_2(self, capsys, n):
-        # n ln n - (n-1) ln(n-1) cancels: to p = 1.04231 (not 1.02895) at
-        # 10^15 and to p = 0 at 10^16; 10^400 is beyond float64.  All are
-        # refused by the n bound before p is computed.
+        # In float64, n ln n - (n-1) ln(n-1) would cancel: to p = 1.04231
+        # (not 1.02895) at 10^15 and to p = 0 at 10^16; 10^400 is beyond
+        # float64.  All are past MAX_N, so refused before p is evaluated.
         code, out, err = run_cli(capsys, "exponent", "--n", str(n))
         assert (code, out) == (2, None)
         assert err.startswith(f"error: exponent requires 2 <= n <= {MAX_N} ")
 
     @pytest.mark.parametrize("n,code", [(MAX_N, 0), (MAX_N + 1, 2), (4009, 2), (30002, 2)])
     def test_admitted_n_are_one_interval(self, capsys, n, code):
-        # 4009 is the first n whose p is off the cancellation-free form, and
-        # 30002 is one of the larger n that used to pass that check again
+        # the cap alone decides: every n past MAX_N is refused, 4009 and 30002 too
         assert run_cli(capsys, "exponent", "--n", str(n))[0] == code
 
     def test_n1_exits_2(self, capsys):

@@ -16,6 +16,7 @@ from cubeconv.core import (
 )
 from cubeconv.transform import _fit_fold
 from cubeconv.verifier import _sides
+from oracles import p_ns
 
 
 class TestExponent:
@@ -29,6 +30,10 @@ class TestExponent:
     def test_n4_pinned(self):
         # ln(256/27)/ln 4, evaluated independently at high precision
         assert exponent(4) == pytest.approx(1.622556248918, abs=5e-13)
+
+    def test_takes_a_numpy_integer(self):
+        exponent.cache_clear()  # else an int 7 cached earlier would answer for it
+        assert exponent(np.int64(7)) == exponent(7)
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
@@ -47,26 +52,19 @@ class TestExponent:
             rhs = n * math.log(n) - (n - 1) * math.log(n - 1)
             assert abs(lhs - rhs) <= 1e-13 * rhs
 
-    def test_p_keeps_the_expanded_form_bits(self):
-        for n in range(2, core.MAX_N + 1):
-            ln_n = math.log(n)
-            assert exponent(n) == (n * ln_n - (n - 1) * math.log(n - 1)) / ln_n
-
-    def test_p_is_checked_against_the_cancellation_free_form(self):
-        for n in (2, 3, 64, 999):
-            free = 1.0 + (n - 1) * math.log1p(1 / (n - 1)) / math.log(n)
-            assert abs(exponent(n) - free) <= core.P_REL_TOL * free
-        with pytest.raises(ValueError, match="off p_n"):
-            core._check_p(3, 1.5)
+    def test_p_is_the_correctly_rounded_p_n(self):
+        off = [n for n, p in enumerate(p_ns(core.MAX_N), 2) if exponent(n) != p]
+        assert off == []
 
     @pytest.mark.parametrize("n", [10**7, 10**15, 10**16, 10**400])
     def test_cancelling_n_is_refused_before_c(self, n):
-        # at 10^16 the expanded form gives p = 0 exactly, and c = n/p would divide by it
+        # past the cap, so refused before p is evaluated (a float64 expanded
+        # form would give p = 0 exactly at 10^16, and c = n/p would divide by it)
         with pytest.raises(ValueError, match=f"got {n}$"):
             exponent(n)
 
     def test_admitted_n_are_one_interval(self):
-        # every n up to 4008 is within P_REL_TOL; 4009 is the first that is not
+        # the cap alone decides: every n past MAX_N is refused, 4009 and 30002 too
         assert core.MAX_N <= 4008
         for n in (core.MAX_N + 1, 4009, 30002, 10**400):
             with pytest.raises(ValueError, match=rf"^exponent requires 2 <= n <= {core.MAX_N} "):

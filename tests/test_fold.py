@@ -15,7 +15,7 @@ from cubeconv import core, transform, verifier
 from cubeconv.core import INT, REAL, CubeFunction, SetFamily, popcounts
 from cubeconv.counting import count_disjoint_tuples, extremal_family
 from cubeconv.transform import _fit_fold, _fold_plan, batch_corner_value, corner_convolution, subset_convolve
-from oracles import force_crt
+from oracles import corner_brute, force_crt
 
 
 def spy(monkeypatch):
@@ -284,3 +284,22 @@ def test_subset_convolve_tabulates_only_the_ranks_that_reach_m(monkeypatch, flav
         subs = [a for a in range(1 << m) if a & s == a]
         want = sum(f.values[a] * g.values[s ^ a] for a in subs)
         assert h.values[s] == (want if flavor == INT else pytest.approx(want, rel=1e-12, abs=1e-12))
+
+
+@pytest.mark.parametrize("call", ["corner", "subset_convolve"])
+def test_a_repeated_function_is_tabulated_once_a_prime_pass(monkeypatch, call):
+    """Each occurrence of a repeated integer function gets the same residue
+    array on a prime pass, as on the wrapped one, so the fold tabulates it
+    once a pass: three zeta tables for the three passes of force_crt."""
+    m, rng = 6, random.Random(f"repeat:{call}")
+    if call == "corner":
+        fs = core.family_to_functions(SetFamily.from_masks(m, rng.sample(range(1 << m), 24)), 5)
+        run, want = corner_convolution, corner_brute(fs)
+    else:
+        f = CubeFunction(m, [rng.randint(-(2**40), 2**40) for _ in range(1 << m)], INT)
+        fs, run = [f, f], lambda fs: subset_convolve(*fs).table
+        want = [sum(f.values[a] * f.values[s ^ a] for a in range(s + 1) if a & s == a) for s in range(1 << m)]
+    built = spy(monkeypatch)
+    force_crt(monkeypatch)
+    assert np.array_equal(run(fs), want)
+    assert len(built["zeta"]) == 3

@@ -84,12 +84,12 @@ def test_verify_functions_fuzz(path, text):
 # Integer options, drawn so that no run is large: ground sets of at most 8
 # elements (or past the cap of 24), products n*t of at most 12 (or past 24),
 # scan grids of at most 10^4 points (or past the budget's five float64
-# arrays a point), and n small, around the bound MAX_N, or large enough
-# that p_n cancels.  An n-fold corner runs n - 1 rank products and a scan
-# one pass a k, so n near the bound is drawn with at most 4 elements or 64
-# grid points, and mostly just past the bound.  `count` at n = MAX_N takes
-# about 46 s even on two sets, so its n is small or past the bound, where
-# it is refused before the count.
+# arrays a point), and n small, around the bound MAX_N, or far past it,
+# where a float64 p_n would cancel.  An n-fold corner runs n - 1 rank
+# products and a scan one pass a k, so n near the bound is drawn with at
+# most 4 elements or 64 grid points, and mostly just past the bound.
+# `count` at n = MAX_N takes about 46 s even on two sets, so its n is small
+# or past the bound, where it is refused before the count.
 HUGE = 2**70
 near_bound_n = st.integers(MAX_N - 1, MAX_N + 8)
 exponent_n = st.one_of(
